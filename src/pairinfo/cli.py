@@ -31,16 +31,15 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .asymptotics import EstimateReport, estimate_report
-from .inference import TestReport, independence_test
+from .inference import independence_test
 from .montecarlo import (
-    ConvergenceTrace,
     NormalityStudy,
     RngSpec,
     convergence_trace,
@@ -52,6 +51,8 @@ from .pmf import EmpiricalPmf, LabeledAlphabets, estimate_pmf
 log = logging.getLogger("pairinfo")
 
 SCHEMA_VERSION = 1
+
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,20 @@ class RunConfig:
     output_format: str = "json"
 
 
+def _rows(stream: TextIO, header: bool, width: int):
+    """Yield ``(lineno, row)`` for each data row of ``width`` fields.
+
+    Skips the header row when asked and blank lines; rows are yielded
+    unstripped, so each caller strips the fields it keeps.
+    """
+    for lineno, row in enumerate(csv.reader(stream), start=1):
+        if (header and lineno == 1) or not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, row
+
+
 def parse_pairs_csv(
     stream: TextIO, header: bool = False
 ) -> tuple[LabeledAlphabets, np.ndarray]:
@@ -79,28 +94,21 @@ def parse_pairs_csv(
 
     Returns the alphabets in first-appearance order and the sample as
     1-based flattened outcome indices.  Encoding needs the column-alphabet
-    size, so rows are collected first and encoded once the file is read.
+    size, so label indices are collected first and encoded once the file
+    is read.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
-    rows: list[tuple[int, int]] = []
-    reader = csv.reader(stream)
-    for lineno, row in enumerate(reader, start=1):
-        if header and lineno == 1:
-            continue
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        x, y = row[0].strip(), row[1].strip()
-        rows.append(
-            (x_order.setdefault(x, len(x_order)), y_order.setdefault(y, len(y_order)))
-        )
-    if not rows:
+    xs: list[int] = []
+    ys: list[int] = []
+    for _, (x, y) in _rows(stream, header, 2):
+        xs.append(x_order.setdefault(x.strip(), len(x_order)))
+        ys.append(y_order.setdefault(y.strip(), len(y_order)))
+    if not xs:
         raise ValueError("empty input: no data rows")
     alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
-    cols = len(y_order)
-    sample = np.array([cols * xi + yi + 1 for xi, yi in rows], dtype=np.int64)
+    sample = np.array(xs, dtype=np.int64) * len(y_order)
+    sample += np.array(ys, dtype=np.int64) + 1
     return alphabets, sample
 
 
@@ -110,19 +118,13 @@ def parse_counts_csv(
     """Read one cell per row (x label, y label, count).
 
     Cells never mentioned get count 0; mentioning a cell twice is an
-    error.  At least one count must be positive.
+    error.  At least one count must be positive, and every count must fit
+    in a signed 64-bit integer.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
     cells: dict[tuple[int, int], int] = {}
-    reader = csv.reader(stream)
-    for lineno, row in enumerate(reader, start=1):
-        if header and lineno == 1:
-            continue
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
+    for lineno, row in _rows(stream, header, 3):
         x, y, raw = (field.strip() for field in row)
         try:
             count = int(raw)
@@ -132,6 +134,10 @@ def parse_counts_csv(
             ) from None
         if count < 0:
             raise ValueError(f"line {lineno}: count must be nonnegative, got {count}")
+        if count > _MAX_COUNT:
+            raise ValueError(
+                f"line {lineno}: count must be at most {_MAX_COUNT}, got {count}"
+            )
         key = (x_order.setdefault(x, len(x_order)), y_order.setdefault(y, len(y_order)))
         if key in cells:
             raise ValueError(f"line {lineno}: duplicate cell ({x}, {y})")
@@ -143,7 +149,7 @@ def parse_counts_csv(
     cols = len(y_order)
     for (xi, yi), count in cells.items():
         counts[cols * xi + yi] = count
-    if counts.sum() == 0:
+    if not counts.any():
         raise ValueError("all counts are zero: n = 0")
     return alphabets, EmpiricalPmf(counts, alphabets.shape)
 
@@ -181,10 +187,6 @@ def parse_sizes(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _nine_sig(value: float) -> float:
-    return float(format(value, ".9g"))
-
-
 def _jsonable(obj):
     """Plain JSON types with floats rounded to 9 significant digits."""
     if isinstance(obj, dict):
@@ -198,31 +200,18 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _nine_sig(float(obj))
+        return float(format(float(obj), ".9g"))
     return obj
 
 
-def _config_dict(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "input": config.input,
-        "format": config.format,
-        "header": config.header,
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "n": config.n,
-        "replicates": config.replicates,
-        "sizes": config.sizes,
-        "measure": config.measure,
-        "output": config.output,
-        "output_format": config.output_format,
-    }
+def _compact_json(obj) -> str:
+    return json.dumps(_jsonable(obj), separators=(",", ":"))
 
 
 def _report_json(config: RunConfig, alphabets: LabeledAlphabets, results: dict) -> str:
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(config),
+        "config": asdict(config),
         "alphabets": {
             "x": list(alphabets.x_labels),
             "y": list(alphabets.y_labels),
@@ -232,122 +221,34 @@ def _report_json(config: RunConfig, alphabets: LabeledAlphabets, results: dict) 
     return json.dumps(_jsonable(report), indent=2) + "\n"
 
 
+def _csv_report(config: RunConfig, comments: list[str], columns: dict) -> str:
+    """The ``# config:`` line and further comment lines, a header row of the
+    column names, then one row per index: the first column as int, the
+    others at nine significant digits.
+    """
+    buf = io.StringIO()
+    for line in ["# config: " + _compact_json(asdict(config)), *comments]:
+        buf.write(line + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for first, *rest in zip(*columns.values()):
+        writer.writerow([int(first), *(format(v, ".9g") for v in rest)])
+    return buf.getvalue()
+
+
 def _estimate_dict(rep: EstimateReport) -> dict:
-    return {
-        "estimate": rep.estimate,
-        "n": rep.n,
-        "std_error": rep.std_error,
-        "ci_lower": rep.ci_lower,
-        "ci_upper": rep.ci_upper,
-        "alpha": rep.alpha,
-        "variance": {
-            "canonical": rep.variance.canonical,
-            "alternate": rep.variance.alternate,
-            "discrepancy": rep.variance.discrepancy,
-        },
-    }
+    out = asdict(rep)
+    del out["measure"]
+    out["variance"] = {**out.pop("variance"), "discrepancy": rep.variance.discrepancy}
+    return out
 
 
-def _test_dict(rep: TestReport) -> dict:
-    return {
-        "gamma_sq": rep.gamma_sq,
-        "df": rep.df,
-        "threshold": rep.threshold,
-        "mi_threshold": rep.mi_threshold,
-        "p_value": rep.p_value,
-        "reject": rep.reject,
-        "alpha": rep.alpha,
-        "n": rep.n,
-    }
-
-
-def _config_comment(config: RunConfig) -> str:
-    return "# config: " + json.dumps(_jsonable(_config_dict(config)), separators=(",", ":"))
-
-
-def _trace_csv(config: RunConfig, trace: ConvergenceTrace) -> str:
-    buf = io.StringIO()
-    buf.write(_config_comment(config) + "\n")
-    buf.write(f"# measure: {trace.measure}, true_value: {format(trace.true_value, '.9g')}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["size", "estimate", "abs_error", "a_zn", "ratio"])
-    for idx in range(trace.sizes.size):
-        writer.writerow(
-            [
-                int(trace.sizes[idx]),
-                format(trace.estimates[idx], ".9g"),
-                format(trace.abs_errors[idx], ".9g"),
-                format(trace.a_zn[idx], ".9g"),
-                format(trace.ratio[idx], ".9g"),
-            ]
-        )
-    return buf.getvalue()
-
-
-def _trace_json(
-    config: RunConfig, alphabets: LabeledAlphabets, trace: ConvergenceTrace
-) -> str:
-    results = {
-        "trace": {
-            "measure": trace.measure,
-            "true_value": trace.true_value,
-            "sizes": trace.sizes,
-            "estimates": trace.estimates,
-            "abs_errors": trace.abs_errors,
-            "a_zn": trace.a_zn,
-            "ratio": trace.ratio,
-        }
-    }
-    return _report_json(config, alphabets, results)
-
-
-def _normality_summary(study: NormalityStudy) -> dict:
-    return {
-        "measure": study.measure,
-        "n": study.n,
-        "replicates": study.replicates,
-        "true_value": study.true_value,
-        "sigma": study.sigma,
-        "mean": study.mean,
-        "variance": study.variance,
-        "ks_distance": study.ks_distance,
-    }
-
-
-def _normality_csv(config: RunConfig, study: NormalityStudy) -> str:
-    buf = io.StringIO()
-    buf.write(_config_comment(config) + "\n")
-    buf.write("# summary: " + json.dumps(_jsonable(_normality_summary(study)), separators=(",", ":")) + "\n")
-    buf.write("# bin_edges: " + json.dumps(_jsonable(study.bin_edges)) + "\n")
-    buf.write("# bin_counts: " + json.dumps(_jsonable(study.bin_counts)) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "t_value", "qq_theoretical", "qq_order_statistic"])
-    for idx in range(study.replicates):
-        writer.writerow(
-            [
-                idx + 1,
-                format(study.t_values[idx], ".9g"),
-                format(study.qq_theoretical[idx], ".9g"),
-                format(study.qq_sample[idx], ".9g"),
-            ]
-        )
-    return buf.getvalue()
-
-
-def _normality_json(
-    config: RunConfig, alphabets: LabeledAlphabets, study: NormalityStudy
-) -> str:
-    results = {"normality": dict(_normality_summary(study))}
-    results["normality"].update(
-        {
-            "t_values": study.t_values,
-            "bin_edges": study.bin_edges,
-            "bin_counts": study.bin_counts,
-            "qq_theoretical": study.qq_theoretical,
-            "qq_sample": study.qq_sample,
-        }
-    )
-    return _report_json(config, alphabets, results)
+def _normality_fields(study: NormalityStudy) -> tuple[dict, dict]:
+    """The study's scalar fields and its array fields, each in field order."""
+    scalars, arrays = {}, {}
+    for key, val in asdict(study).items():
+        (arrays if isinstance(val, np.ndarray) else scalars)[key] = val
+    return scalars, arrays
 
 
 def _ingest(config: RunConfig) -> tuple[LabeledAlphabets, EmpiricalPmf]:
@@ -380,33 +281,51 @@ def run(config: RunConfig) -> int:
     """Execute one resolved command; returns the process exit code."""
     alphabets, emp = _ingest(config)
     rng = RngSpec(config.seed)
+    csv_out = config.output_format == "csv"
     if config.command == "estimate":
         results = {
-            "joint_entropy": _estimate_dict(
-                estimate_report("joint_entropy", emp, config.alpha)
-            ),
-            "mutual_information": _estimate_dict(
-                estimate_report("mutual_information", emp, config.alpha)
-            ),
+            measure: _estimate_dict(estimate_report(measure, emp, config.alpha))
+            for measure in ("joint_entropy", "mutual_information")
         }
-        _emit(config, _report_json(config, alphabets, results))
+        text = _report_json(config, alphabets, results)
     elif config.command == "test":
         rep = independence_test(emp, config.alpha)
-        _emit(config, _report_json(config, alphabets, {"independence_test": _test_dict(rep)}))
+        text = _report_json(config, alphabets, {"independence_test": asdict(rep)})
     elif config.command == "trace":
         trace = convergence_trace(emp.as_zpmf(), config.sizes, config.measure, rng)
-        if config.output_format == "csv":
-            _emit(config, _trace_csv(config, trace))
+        if csv_out:
+            true_value = format(trace.true_value, ".9g")
+            comment = f"# measure: {trace.measure}, true_value: {true_value}"
+            columns = {
+                "size": trace.sizes,
+                "estimate": trace.estimates,
+                "abs_error": trace.abs_errors,
+                "a_zn": trace.a_zn,
+                "ratio": trace.ratio,
+            }
+            text = _csv_report(config, [comment], columns)
         else:
-            _emit(config, _trace_json(config, alphabets, trace))
+            text = _report_json(config, alphabets, {"trace": asdict(trace)})
     elif config.command == "normality":
         study = normality_study(
             emp.as_zpmf(), config.n, config.replicates, config.measure, rng
         )
-        if config.output_format == "csv":
-            _emit(config, _normality_csv(config, study))
+        scalars, arrays = _normality_fields(study)
+        if csv_out:
+            comments = [
+                "# summary: " + _compact_json(scalars),
+                "# bin_edges: " + json.dumps(_jsonable(study.bin_edges)),
+                "# bin_counts: " + json.dumps(_jsonable(study.bin_counts)),
+            ]
+            columns = {
+                "index": range(1, study.replicates + 1),
+                "t_value": study.t_values,
+                "qq_theoretical": study.qq_theoretical,
+                "qq_order_statistic": study.qq_sample,
+            }
+            text = _csv_report(config, comments, columns)
         else:
-            _emit(config, _normality_json(config, alphabets, study))
+            text = _report_json(config, alphabets, {"normality": {**scalars, **arrays}})
     elif config.command == "power":
         rate = rejection_rate(
             emp.as_zpmf(), config.n, config.replicates, config.alpha, rng
@@ -419,9 +338,10 @@ def run(config: RunConfig) -> int:
                 "alpha": config.alpha,
             }
         }
-        _emit(config, _report_json(config, alphabets, results))
+        text = _report_json(config, alphabets, results)
     else:
         raise ValueError(f"unknown command {config.command!r}")
+    _emit(config, text)
     return 0
 
 
@@ -504,21 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sizes = parse_sizes(args.sizes) if getattr(args, "sizes", None) else None
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        format=args.format,
-        header=args.header,
-        alpha=getattr(args, "alpha", 0.05),
-        seed=getattr(args, "seed", 0),
-        n=getattr(args, "n", None),
-        replicates=getattr(args, "replicates", None),
-        sizes=sizes,
-        measure=getattr(args, "measure", None),
-        output=args.output,
-        output_format=getattr(args, "output_format", "json"),
-    )
+    values = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
+    values["sizes"] = parse_sizes(values["sizes"]) if values["sizes"] else None
+    return RunConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -108,8 +108,10 @@ def _validate_df(df: int) -> int:
 def chi_square_cdf(x: float, df: int) -> float:
     """Chi-square c.d.f. with ``df`` degrees of freedom at ``x >= 0``."""
     _validate_df(df)
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"chi-square c.d.f. argument must be >= 0, got {x}")
+    if x == math.inf:
+        return 1.0
     return min(1.0, max(0.0, _gamma_p(df / 2.0, x / 2.0)))
 
 

@@ -24,6 +24,8 @@ from .encoding import PairShape
 
 NORMALIZATION_TOL = 1e-9
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -127,14 +129,19 @@ class EmpiricalPmf:
                 f"{shape.rows}x{shape.cols}"
             )
         if not np.issubdtype(arr.dtype, np.integer):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("counts must be finite")
             if not np.all(arr == np.floor(arr)):
                 raise ValueError("counts must be integers")
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise ValueError("counts must be nonnegative")
+        # The int64 sum wraps silently.  It can only wrap when some count
+        # exceeds INT64_MAX / k, and then the exact sum decides.
+        if arr.max() > _INT64_MAX // arr.size and sum(arr.tolist()) > _INT64_MAX:
+            raise ValueError("total count exceeds the int64 range")
         self.shape = shape
         self.counts = _frozen(arr.astype(np.int64))
-        self.n = int(arr.sum())
+        self.n = int(self.counts.sum())
         if self.n < 1:
             raise ValueError("empty sample: n = 0")
         self._freqs: np.ndarray | None = None
@@ -221,6 +228,8 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
         raise ValueError("empty sample: n = 0")
     if arr.ndim != 1:
         raise ValueError(f"sample must be 1-D, got {arr.ndim}-D")
+    if arr.dtype == np.bool_:
+        raise ValueError("sample must contain integer outcome indices, got booleans")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("sample must contain integer outcome indices")

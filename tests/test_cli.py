@@ -90,6 +90,15 @@ class TestParseCountsCsv:
         with pytest.raises(ValueError, match="line 1: expected 3 fields"):
             parse_counts_csv(io.StringIO("x1,y1\n"))
 
+    def test_counts_beyond_int64(self):
+        text = "x1,y1,1\nx1,y2,9223372036854775808\n"
+        with pytest.raises(ValueError, match="line 2: count must be at most"):
+            parse_counts_csv(io.StringIO(text))
+        # Every count fits, but their total wraps around in int64.
+        text = "".join(f"x{i},y{j},{2**62 + 1}\n" for i in (1, 2) for j in (1, 2))
+        with pytest.raises(ValueError, match="int64"):
+            parse_counts_csv(io.StringIO(text))
+
 
 class TestSerializeRoundTrip:
     def test_round_trip_preserves_table(self):
@@ -247,6 +256,94 @@ class TestCliCommands:
         assert report["alphabets"]["x"] == ["x1", "x2"]
 
 
+CONFIG_KEYS = [
+    "command", "input", "format", "header", "alpha", "seed", "n",
+    "replicates", "sizes", "measure", "output", "output_format",
+]
+NORMALITY_SCALARS = [
+    "measure", "n", "replicates", "true_value", "sigma", "mean", "variance",
+    "ks_distance",
+]
+TRACE_ARGS = ["trace", "--measure", "mi", "--sizes", "100:300:100", "--seed", "7"]
+NORMALITY_ARGS = [
+    "normality", "--measure", "entropy", "--n", "1000", "--replicates", "100",
+    "--seed", "11",
+]
+ESTIMATE_KEYS = [
+    "estimate", "n", "std_error", "ci_lower", "ci_upper", "alpha", "variance",
+]
+
+
+class TestReportLayout:
+    """Key order and CSV preamble of every report, pinned as a format."""
+
+    @pytest.mark.parametrize(
+        "args, block, keys",
+        [
+            (["estimate"], "joint_entropy", ESTIMATE_KEYS),
+            (["estimate"], "mutual_information", ESTIMATE_KEYS),
+            (
+                ["test"],
+                "independence_test",
+                ["gamma_sq", "df", "threshold", "mi_threshold", "p_value",
+                 "reject", "alpha", "n"],
+            ),
+            (
+                TRACE_ARGS + ["--output-format", "json"],
+                "trace",
+                ["measure", "true_value", "sizes", "estimates", "abs_errors",
+                 "a_zn", "ratio"],
+            ),
+            (
+                NORMALITY_ARGS,
+                "normality",
+                NORMALITY_SCALARS + [
+                    "t_values", "bin_edges", "bin_counts", "qq_theoretical",
+                    "qq_sample",
+                ],
+            ),
+            (
+                ["power", "--n", "200", "--replicates", "5"],
+                "rejection_rate",
+                ["rate", "n", "replicates", "alpha"],
+            ),
+        ],
+    )
+    def test_json_key_order(self, counts_file, capsys, args, block, keys):
+        assert main(args + ["--input", counts_file, "--format", "counts"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["config"]) == CONFIG_KEYS
+        assert list(report["results"][block]) == keys
+        if args == ["estimate"]:
+            assert list(report["results"]) == ["joint_entropy", "mutual_information"]
+            variance = report["results"][block]["variance"]
+            assert list(variance) == ["canonical", "alternate", "discrepancy"]
+
+    def test_trace_csv_preamble(self, counts_file, capsys):
+        assert main(TRACE_ARGS + ["--input", counts_file, "--format", "counts"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0].startswith("# config: {")
+        assert list(json.loads(lines[0][len("# config: "):])) == CONFIG_KEYS
+        assert lines[1] == "# measure: mi, true_value: 0.00402174323"
+        assert lines[2] == "size,estimate,abs_error,a_zn,ratio"
+        assert lines[3].startswith("100,")
+
+    def test_normality_csv_preamble(self, counts_file, capsys):
+        args = NORMALITY_ARGS + [
+            "--input", counts_file, "--format", "counts", "--output-format", "csv",
+        ]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert list(json.loads(lines[0][len("# config: "):])) == CONFIG_KEYS
+        assert lines[1].startswith('# summary: {"measure":"entropy","n":1000,')
+        assert list(json.loads(lines[1][len("# summary: "):])) == NORMALITY_SCALARS
+        assert lines[2].startswith("# bin_edges: [-4.0, -3.8, ")
+        assert lines[3].startswith("# bin_counts: [")
+        assert lines[4] == "index,t_value,qq_theoretical,qq_order_statistic"
+        assert lines[5].startswith("1,")
+        assert len(lines) == 5 + 100 + 1  # trailing newline
+
+
 class TestCliDeterminism:
     def test_identical_config_gives_identical_bytes(self, counts_file, capsys):
         args = [
@@ -296,6 +393,13 @@ class TestCliErrors:
         code = main(["test", "--input", str(path), "--format", "counts"])
         assert code == 2
         assert "degenerate alphabet" in capsys.readouterr().err
+
+    def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("x1,y1,9223372036854775808\nx2,y2,1\n", encoding="utf-8")
+        code = main(["estimate", "--input", str(path), "--format", "counts"])
+        assert code == 2
+        assert "line 1: count must be at most" in capsys.readouterr().err
 
     def test_unknown_command_exits_64(self):
         with pytest.raises(SystemExit) as info:

@@ -93,6 +93,12 @@ class TestChiSquareCdf:
         with pytest.raises(ValueError, match="degrees of freedom"):
             chi_square_cdf(1.0, 0)
 
+    def test_nonfinite_argument(self):
+        with pytest.raises(ValueError, match="nan"):
+            chi_square_cdf(math.nan, 3)
+        for df in (1, 2, 50):
+            assert chi_square_cdf(math.inf, df) == 1.0
+
 
 class TestChiSquareQuantile:
     def test_frozen_values(self):

@@ -1,5 +1,7 @@
 """Tests for the probability containers and empirical estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,22 @@ class TestEmpiricalPmf:
         with pytest.raises(ValueError, match="integer"):
             EmpiricalPmf(np.array([1.5, 2.0, 1.0, 3.0]), PairShape(2, 2))
 
+    def test_rejects_nonfinite_without_warning(self):
+        for bad in (np.inf, np.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    EmpiricalPmf(np.array([1.0, bad, 1.0, 1.0]), PairShape(2, 2))
+
+    def test_rejects_total_beyond_int64(self):
+        # Four counts of 2**62 + 1 sum to 2**64 + 4, which int64 wraps to 4.
+        for counts in ([2**62 + 1] * 4, [2**62] * 4, [2**63, 1, 1, 1]):
+            with pytest.raises(ValueError, match="int64"):
+                EmpiricalPmf(np.array(counts), PairShape(2, 2))
+        # The largest representable total is still accepted exactly.
+        top = [2**61, 2**61, 2**61, 2**61 - 1]
+        assert EmpiricalPmf(np.array(top), PairShape(2, 2)).n == 2**63 - 1
+
     def test_equality_by_counts_and_shape(self):
         a = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(2, 2))
         b = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(2, 2))
@@ -113,6 +131,10 @@ class TestEstimatePmf:
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="n = 0"):
             estimate_pmf([], PairShape(2, 2))
+
+    def test_rejects_boolean_sample(self):
+        with pytest.raises(ValueError, match="booleans"):
+            estimate_pmf(np.array([True, True]), PairShape(2, 2))
 
     def test_out_of_range_names_position(self):
         with pytest.raises(ValueError, match=r"sample\[2\] = 5"):
