@@ -425,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
-    values["sizes"] = parse_sizes(values["sizes"]) if values["sizes"] else None
+    if values["sizes"] is not None:
+        values["sizes"] = parse_sizes(values["sizes"])
     return RunConfig(**values)
 
 

@@ -11,6 +11,9 @@ The chi-square c.d.f. and quantile are implemented here via the
 regularized lower incomplete gamma function (series expansion for small
 arguments, Lentz continued fraction otherwise) so results are bit-stable
 across platforms.  Targets: |cdf error| <= 1e-10, |quantile error| <= 1e-8.
+Near ``x = a`` both expansions need O(sqrt(a)) terms, so their iteration
+cap grows with sqrt(a), and either raises ``ArithmeticError`` rather than
+return an unconverged value.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .pmf import EmpiricalPmf
 
 _MAX_ITER = 500
 _EPS = 1e-16
+# Above this shape the incomplete gamma prefactor goes through Stirling's series.
+_STIRLING_A = 1e4
 
 
 @dataclass(frozen=True)
@@ -51,17 +56,41 @@ def lrt_statistic(emp: EmpiricalPmf) -> float:
     return 2.0 * emp.n * mutual_information(emp)
 
 
+def _max_iter(a: float) -> int:
+    # Near x = a both expansions need about 8 sqrt(a) terms.
+    return _MAX_ITER + int(10.0 * math.sqrt(a))
+
+
+def _log_prefactor(a: float, x: float) -> float:
+    """``log(x^a e^-x / Gamma(a))``, the factor common to both expansions."""
+    if a <= _STIRLING_A:
+        return -x + a * math.log(x) - math.lgamma(a)
+    # At large a the three terms cancel down from ~a log a, losing digits;
+    # Stirling's series for lgamma lets the cancellation happen exactly.
+    t = (x - a) / a
+    stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * a * a)) / (a * a)) / a
+    return a * (math.log1p(t) - t) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+
+
+def _no_convergence(kind: str, a: float, x: float) -> ArithmeticError:
+    return ArithmeticError(
+        f"incomplete gamma {kind} did not converge at a = {a}, x = {x}"
+    )
+
+
 def _gamma_p_series(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(a)):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    else:
+        raise _no_convergence("series", a, x)
+    return total * math.exp(_log_prefactor(a, x))
 
 
 def _gamma_q_contfrac(a: float, x: float) -> float:
@@ -71,7 +100,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, _max_iter(a)):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -85,7 +114,9 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         h *= factor
         if abs(factor - 1.0) < _EPS:
             break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    else:
+        raise _no_convergence("continued fraction", a, x)
+    return math.exp(_log_prefactor(a, x)) * h
 
 
 def _gamma_p(a: float, x: float) -> float:

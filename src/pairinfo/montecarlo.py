@@ -13,27 +13,26 @@ Four studies, each driven by a true flattened p.m.f. and a seeded RNG:
 * :func:`variance_check` -- empirical variance of the sqrt(n)-scaled
   estimator next to the two closed-form variances, with no verdict.
 
-Determinism contract: replicate ``i`` always draws from the substream
-keyed by ``(master_seed, i)``, so results are byte-identical for a given
-seed and configuration regardless of thread count or completion order.
-Studies that loop over replicates accept ``workers`` to run them on a
-thread pool; aggregation is keyed by replicate index, never by finish
-order.
+Determinism contract: studies run in one thread, and every replicate
+(a trace size counts as one) comes from :func:`_empiricals`, where
+replicate ``i`` draws only from the substream keyed by
+``(master_seed, i)``.  Results are byte-identical for a given seed and
+configuration, and a larger study extends a smaller one: its first
+replicates are the smaller study's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .asymptotics import entropy_variance, mi_variance, normal_quantile
 from .inference import independence_test
 from .measures import joint_entropy, mutual_information
-from .pmf import ZPmf, estimate_pmf, z_vector
+from .pmf import EmpiricalPmf, ZPmf, estimate_pmf, z_vector
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64 increment and finalizer multipliers.
@@ -61,7 +60,7 @@ class RngSpec:
 
     Substream ``i`` feeds the ``(i + 1)``-th SplitMix64 output of the
     master seed into a PCG64 generator.  Identical ``(master_seed, i)``
-    yields bit-identical draws on every platform and thread schedule.
+    yields bit-identical draws on every platform.
     """
 
     master_seed: int = 0
@@ -113,11 +112,10 @@ def _measure_variance(p: ZPmf, measure: str) -> tuple[float, float]:
     return pair.canonical, pair.alternate
 
 
-def _map_replicates(fn: Callable[[int], object], count: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[EmpiricalPmf]:
+    """Empirical p.m.f. of replicate ``i``: ``sizes[i]`` draws from substream ``i``."""
+    for i, n in enumerate(sizes):
+        yield estimate_pmf(sample_z(p, int(n), rng, stream=i), p.shape)
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ def convergence_trace(
     probs = z_vector(p)
     estimates = np.empty(sizes_arr.size)
     a_zn = np.empty(sizes_arr.size)
-    for idx, n in enumerate(sizes_arr):
-        emp = estimate_pmf(sample_z(p, int(n), rng, stream=idx), p.shape)
+    for idx, emp in enumerate(_empiricals(p, sizes_arr, rng)):
         estimates[idx] = fn(emp)
         a_zn[idx] = np.abs(emp.freqs - probs).max()
     abs_errors = np.abs(estimates - truth)
@@ -210,7 +207,6 @@ def normality_study(
     replicates: int,
     measure: str,
     rng: RngSpec,
-    workers: int = 1,
 ) -> NormalityStudy:
     """Distribution of the standardized estimator over seeded replicates."""
     fn = _measure_fn(measure)
@@ -228,13 +224,8 @@ def normality_study(
             f"{canonical} for this p.m.f."
         )
     sigma = math.sqrt(canonical)
-    scale = math.sqrt(n) / sigma
-
-    def one(i: int) -> float:
-        emp = estimate_pmf(sample_z(p, n, rng, stream=i), p.shape)
-        return scale * (fn(emp) - truth)
-
-    t_values = np.array(_map_replicates(one, replicates, workers))
+    estimates = np.array([fn(emp) for emp in _empiricals(p, [n] * replicates, rng)])
+    t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
     counts, _ = np.histogram(np.clip(t_values, -4.0, 4.0), bins=edges)
@@ -264,18 +255,15 @@ def rejection_rate(
     replicates: int,
     alpha: float,
     rng: RngSpec,
-    workers: int = 1,
 ) -> float:
     """Fraction of replicates where the independence test rejects."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-
-    def one(i: int) -> bool:
-        emp = estimate_pmf(sample_z(p, n, rng, stream=i), p.shape)
-        return independence_test(emp, alpha).reject
-
-    decisions = _map_replicates(one, replicates, workers)
-    return sum(decisions) / replicates
+    rejections = sum(
+        independence_test(emp, alpha).reject
+        for emp in _empiricals(p, [n] * replicates, rng)
+    )
+    return rejections / replicates
 
 
 class VarianceCheck(NamedTuple):
@@ -292,18 +280,12 @@ def variance_check(
     replicates: int,
     measure: str,
     rng: RngSpec,
-    workers: int = 1,
 ) -> VarianceCheck:
     """Monte Carlo variance next to the two closed forms; no verdict."""
     fn = _measure_fn(measure)
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
-
-    def one(i: int) -> float:
-        emp = estimate_pmf(sample_z(p, n, rng, stream=i), p.shape)
-        return fn(emp)
-
-    estimates = np.array(_map_replicates(one, replicates, workers))
+    estimates = np.array([fn(emp) for emp in _empiricals(p, [n] * replicates, rng)])
     canonical, alternate = _measure_variance(p, measure)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),

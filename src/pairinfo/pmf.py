@@ -24,12 +24,28 @@ from .encoding import PairShape
 
 NORMALIZATION_TOL = 1e-9
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
+    """An object array of integers as int64, checked exactly.
+
+    ``np.asarray`` keeps Python ints beyond the uint64 range as objects,
+    which numpy ufuncs and int64 casts reject with ``TypeError`` or
+    ``OverflowError``; here they get a ``ValueError`` instead.
+    """
+    for v in arr.tolist():
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be integers")
+        if not _INT64_MIN <= v <= _INT64_MAX:
+            raise ValueError(f"{what} must lie in the int64 range, got {v}")
+    return arr.astype(np.int64)
 
 
 def _validate_probs(
@@ -128,6 +144,8 @@ class EmpiricalPmf:
                 f"counts must be a length-{shape.size} vector for shape "
                 f"{shape.rows}x{shape.cols}"
             )
+        if arr.dtype == object:
+            arr = _from_objects(arr, "counts")
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("counts must be finite")
@@ -230,6 +248,8 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
         raise ValueError(f"sample must be 1-D, got {arr.ndim}-D")
     if arr.dtype == np.bool_:
         raise ValueError("sample must contain integer outcome indices, got booleans")
+    if arr.dtype == object:
+        arr = _from_objects(arr, "sample")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("sample must contain integer outcome indices")

@@ -424,3 +424,13 @@ class TestCliErrors:
             ]
         )
         assert code == 2
+
+    def test_empty_sizes_exit_2(self, counts_file, capsys):
+        code = main(
+            [
+                "trace", "--input", counts_file, "--format", "counts",
+                "--measure", "mi", "--sizes", "",
+            ]
+        )
+        assert code == 2
+        assert "sizes must be start:stop:step, got ''" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from pairinfo import (
     lrt_statistic,
     mutual_information,
 )
+from pairinfo import inference
 
 CHI2_95_DF1 = 3.841458820694126
 CHI2_95_DF2 = 5.991464547107982
@@ -81,6 +82,24 @@ class TestChiSquareCdf:
                     scipy.stats.chi2.cdf(x, df),
                     atol=1e-10,
                 )
+
+    @pytest.mark.parametrize("df", [20_000, 100_000, 1_000_000])
+    def test_matches_scipy_at_large_df(self, df):
+        # Near x = df the expansions need ~8 sqrt(df / 2) terms.
+        for x in np.linspace(0.97 * df, 1.03 * df, 61):
+            np.testing.assert_allclose(
+                chi_square_cdf(float(x), df),
+                scipy.stats.chi2.cdf(x, df),
+                rtol=0,
+                atol=1e-10,
+            )
+
+    def test_raises_when_expansion_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(inference, "_max_iter", lambda a: 5)
+        with pytest.raises(ArithmeticError, match="series did not converge"):
+            chi_square_cdf(100.0, 100)
+        with pytest.raises(ArithmeticError, match="fraction did not converge"):
+            chi_square_cdf(104.0, 100)
 
     def test_monotone(self):
         xs = np.linspace(0, 40, 200)

@@ -107,6 +107,16 @@ class TestEmpiricalPmf:
         top = [2**61, 2**61, 2**61, 2**61 - 1]
         assert EmpiricalPmf(np.array(top), PairShape(2, 2)).n == 2**63 - 1
 
+    def test_rejects_python_ints_beyond_int64(self):
+        # numpy keeps ints beyond the uint64 range as an object array.
+        for counts in ([2**70, 1], [-(2**70), 1]):
+            with pytest.raises(ValueError, match=f"int64 range, got {counts[0]}"):
+                EmpiricalPmf(counts, PairShape(1, 2))
+        with pytest.raises(ValueError, match="integers"):
+            EmpiricalPmf([1.5, 2**70], PairShape(1, 2))
+        emp = EmpiricalPmf(np.array([2, 3], dtype=object), PairShape(1, 2))
+        assert emp.counts.dtype == np.int64 and emp.n == 5
+
     def test_equality_by_counts_and_shape(self):
         a = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(2, 2))
         b = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(2, 2))
@@ -141,6 +151,14 @@ class TestEstimatePmf:
             estimate_pmf([1, 2, 5, 1], PairShape(2, 2))
         with pytest.raises(ValueError, match=r"sample\[0\] = 0"):
             estimate_pmf([0, 1], PairShape(2, 2))
+
+    def test_rejects_python_ints_beyond_int64(self):
+        with pytest.raises(ValueError, match="int64 range, got 1180591620717411303424"):
+            estimate_pmf([2**70, 1], PairShape(2, 2))
+        with pytest.raises(ValueError, match="integers"):
+            estimate_pmf(np.array([1.5, 2], dtype=object), PairShape(2, 2))
+        emp = estimate_pmf(np.array([1, 4, 4], dtype=object), PairShape(2, 2))
+        np.testing.assert_array_equal(emp.counts, [1, 0, 0, 2])
 
     def test_matches_bincount_on_random_samples(self):
         rng = np.random.default_rng(42)
