@@ -29,6 +29,7 @@ from .inference import (
     chi_square_quantile,
     independence_test,
     lrt_statistic,
+    lrt_threshold,
 )
 from .measures import (
     entropy,
@@ -98,6 +99,7 @@ __all__ = [
     "estimate_report",
     "TestReport",
     "lrt_statistic",
+    "lrt_threshold",
     "chi_square_cdf",
     "chi_square_quantile",
     "independence_test",

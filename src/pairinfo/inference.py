@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import normal_quantile
+from .encoding import PairShape
 from .measures import mutual_information
 from .pmf import EmpiricalPmf
 
@@ -197,6 +198,25 @@ def chi_square_quantile(p: float, df: int) -> float:
     return x
 
 
+def lrt_threshold(shape: PairShape, alpha: float) -> tuple[int, float]:
+    """Degrees of freedom and rejection threshold of the test at level ``alpha``.
+
+    The threshold is the ``1 - alpha`` chi-square quantile with
+    ``(rows - 1)(cols - 1)`` degrees of freedom; it depends on the table's
+    shape only, so a study of many tables of one shape computes it once.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    r, s = shape.rows, shape.cols
+    if r < 2 or s < 2:
+        raise ValueError(
+            f"test undefined for degenerate alphabet: shape {r}x{s} gives "
+            f"0 degrees of freedom"
+        )
+    df = (r - 1) * (s - 1)
+    return df, chi_square_quantile(1.0 - alpha, df)
+
+
 def independence_test(emp: EmpiricalPmf, alpha: float = 0.05) -> TestReport:
     """Likelihood-ratio test of independence between the two coordinates.
 
@@ -209,17 +229,8 @@ def independence_test(emp: EmpiricalPmf, alpha: float = 0.05) -> TestReport:
     empirical rows or columns are all zero; callers with structurally
     absent categories should shrink the table first.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    r, s = emp.shape.rows, emp.shape.cols
-    if r < 2 or s < 2:
-        raise ValueError(
-            f"test undefined for degenerate alphabet: shape {r}x{s} gives "
-            f"0 degrees of freedom"
-        )
-    df = (r - 1) * (s - 1)
+    df, threshold = lrt_threshold(emp.shape, alpha)
     gamma_sq = lrt_statistic(emp)
-    threshold = chi_square_quantile(1.0 - alpha, df)
     p_value = 1.0 - chi_square_cdf(max(gamma_sq, 0.0), df)
     return TestReport(
         gamma_sq=gamma_sq,
@@ -236,6 +247,7 @@ def independence_test(emp: EmpiricalPmf, alpha: float = 0.05) -> TestReport:
 __all__ = [
     "TestReport",
     "lrt_statistic",
+    "lrt_threshold",
     "chi_square_cdf",
     "chi_square_quantile",
     "independence_test",

@@ -13,12 +13,18 @@ Four studies, each driven by a true flattened p.m.f. and a seeded RNG:
 * :func:`variance_check` -- empirical variance of the sqrt(n)-scaled
   estimator next to the two closed-form variances, with no verdict.
 
-Determinism contract: studies run in one thread, and every replicate
-(a trace size counts as one) comes from :func:`_empiricals`, where
-replicate ``i`` draws only from the substream keyed by
-``(master_seed, i)``.  Results are byte-identical for a given seed and
-configuration, and a larger study extends a smaller one: its first
-replicates are the smaller study's, bit for bit.
+Every statistic here depends on a sample only through its cell counts,
+and the counts of ``n`` i.i.d. draws of Z follow Multinomial(n, p).  So
+the studies never draw raw outcomes: :func:`_empiricals` makes replicate
+``i``'s counts with one ``multinomial(n, p)`` call on the substream keyed
+by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.
+:func:`sample_z` stays public for callers that need raw outcomes.
+
+Determinism contract: studies run in one thread, and every replicate (a
+trace size counts as one) comes from :func:`_empiricals`.  Results are
+byte-identical for a given seed and configuration, and a larger study
+extends a smaller one: its first replicates are the smaller study's, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +36,13 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import entropy_variance, mi_variance, normal_quantile
-from .inference import independence_test
+from .inference import lrt_statistic, lrt_threshold
 from .measures import joint_entropy, mutual_information
-from .pmf import EmpiricalPmf, ZPmf, estimate_pmf, z_vector
+from .pmf import EmpiricalPmf, ZPmf, z_vector
+
+# Not called by the studies, but perfbench/tracing.py rebinds them here.
+from .inference import independence_test  # noqa: F401
+from .pmf import estimate_pmf  # noqa: F401
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64 increment and finalizer multipliers.
@@ -113,9 +123,24 @@ def _measure_variance(p: ZPmf, measure: str) -> tuple[float, float]:
 
 
 def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[EmpiricalPmf]:
-    """Empirical p.m.f. of replicate ``i``: ``sizes[i]`` draws from substream ``i``."""
+    """Empirical p.m.f. of replicate ``i``: ``sizes[i]`` draws from substream ``i``.
+
+    Replicate ``i``'s counts are one ``multinomial(sizes[i], p)`` draw from
+    substream ``(master_seed, i)``.  The draw runs over the support of
+    ``p`` only, renormalized to sum to 1: numpy's ``multinomial`` rejects
+    weights whose sum exceeds 1 by more than 1e-12 (a :class:`ZPmf` may be
+    off by 1e-9), and it gives its last cell whatever the others leave, so
+    a trailing zero cell could otherwise collect counts lost to rounding.
+    """
+    probs = z_vector(p)
+    support = np.flatnonzero(probs)
+    weights = probs[support] / probs[support].sum()
     for i, n in enumerate(sizes):
-        yield estimate_pmf(sample_z(p, int(n), rng, stream=i), p.shape)
+        if n < 1:
+            raise ValueError(f"sample size must be at least 1, got {n}")
+        counts = np.zeros(p.shape.size, dtype=np.int64)
+        counts[support] = rng.substream(i).multinomial(int(n), weights)
+        yield EmpiricalPmf(counts, p.shape)
 
 
 @dataclass(frozen=True)
@@ -256,11 +281,17 @@ def rejection_rate(
     alpha: float,
     rng: RngSpec,
 ) -> float:
-    """Fraction of replicates where the independence test rejects."""
+    """Fraction of replicates where the independence test rejects.
+
+    The level, the table shape and the threshold are checked and computed
+    once, before any replicate is drawn; each replicate then rejects
+    exactly when :func:`~pairinfo.inference.independence_test` would.
+    """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _, threshold = lrt_threshold(p.shape, alpha)
     rejections = sum(
-        independence_test(emp, alpha).reject
+        lrt_statistic(emp) > threshold
         for emp in _empiricals(p, [n] * replicates, rng)
     )
     return rejections / replicates

@@ -253,14 +253,14 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("sample must contain integer outcome indices")
-        arr = arr.astype(np.int64)
+    # Range first: a float beyond int64 (or inf) would not survive the cast.
     bad = (arr < 1) | (arr > shape.size)
     if np.any(bad):
         pos = int(np.argmax(bad))
         raise ValueError(
             f"sample[{pos}] = {arr[pos]} outside [1, {shape.size}]"
         )
-    counts = np.bincount(arr - 1, minlength=shape.size)
+    counts = np.bincount(arr.astype(np.int64, copy=False) - 1, minlength=shape.size)
     return EmpiricalPmf(counts, shape)
 
 

@@ -1,20 +1,26 @@
 """Tests for seeded sampling and the Monte Carlo studies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pairinfo import (
+    EmpiricalPmf,
     PairShape,
     RngSpec,
     ZPmf,
+    chi_square_quantile,
     convergence_trace,
     estimate_pmf,
+    independence_test,
     normality_study,
     rate_constant,
     rejection_rate,
     sample_z,
     variance_check,
 )
+from pairinfo import montecarlo
 
 # 3 sigma / sqrt(30000) error bounds from the canonical variances of the
 # working table, rounded up as stated with the convergence examples.
@@ -72,6 +78,56 @@ class TestSampleZ:
     def test_rejects_empty_request(self, demo_z):
         with pytest.raises(ValueError, match="at least 1"):
             sample_z(demo_z, 0, RngSpec(0))
+
+
+class TestCountEngine:
+    """Each replicate's counts are one multinomial draw on its own substream."""
+
+    def test_counts_follow_the_multinomial_law(self, demo_z):
+        n, replicates, k = 1000, 400, demo_z.shape.size
+        empiricals = montecarlo._empiricals(demo_z, [n] * replicates, RngSpec(3))
+        counts = np.array([emp.counts for emp in empiricals])
+        assert (counts.sum(axis=1) == n).all()
+
+        def pearson(observed, expected):
+            return float((((observed - expected) ** 2) / expected).sum())
+
+        # Pooled counts against n R p: chi-square(k - 1).  Summed
+        # per-replicate statistics: chi-square(R (k - 1)), where too small a
+        # value means replicates vary less than multinomial counts do.
+        # Loose bounds: a correct engine falls outside with probability 1e-6.
+        pooled = pearson(counts.sum(axis=0), n * replicates * demo_z.probs)
+        spread = pearson(counts, n * demo_z.probs)
+        df = replicates * (k - 1)
+        assert pooled <= chi_square_quantile(1 - 1e-6, k - 1)
+        assert chi_square_quantile(1e-6, df) <= spread <= chi_square_quantile(1 - 1e-6, df)
+
+    def test_memory_does_not_grow_with_sample_size(self, demo_z):
+        tracemalloc.start()
+        try:
+            convergence_trace(demo_z, [10**7], "mi", RngSpec(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_accepts_any_valid_pmf_and_never_counts_zero_cells(self, monkeypatch):
+        # Sums to 1 + 5e-10, inside ZPmf's 1e-9 tolerance but beyond the
+        # 1e-12 that numpy's multinomial allows; the last cell is zero.
+        z = ZPmf([0.3, 0.2 + 5e-10, 0.5, 0.0], PairShape(2, 2))
+        seen = []
+
+        def recording(counts, shape):
+            seen.append(counts.copy())
+            return EmpiricalPmf(counts, shape)
+
+        monkeypatch.setattr(montecarlo, "EmpiricalPmf", recording)
+        convergence_trace(z, [10, 1000, 10**6], "mi", RngSpec(1))
+        normality_study(z, 5000, 100, "entropy", RngSpec(1))
+        rejection_rate(z, 5000, 100, 0.05, RngSpec(1))
+        variance_check(z, 5000, 100, "mi", RngSpec(1))
+        assert len(seen) == 3 + 3 * 100
+        assert all(c[3] == 0 for c in seen)
 
 
 class TestConvergenceTrace:
@@ -162,6 +218,41 @@ class TestRejectionRate:
     def test_validation(self, demo_z):
         with pytest.raises(ValueError, match="replicates"):
             rejection_rate(demo_z, 1000, 0, 0.05, RngSpec(0))
+
+    @pytest.mark.parametrize(
+        "probs, shape, alpha, message",
+        [
+            ([0.1, 0.2, 0.3, 0.4], PairShape(2, 2), 0.0, "alpha"),
+            ([0.1, 0.2, 0.3, 0.4], PairShape(2, 2), 1.5, "alpha"),
+            ([0.1, 0.2, 0.3, 0.4], PairShape(2, 2), float("nan"), "alpha"),
+            ([0.4, 0.6], PairShape(1, 2), 0.05, "degenerate alphabet"),
+            ([0.4, 0.6], PairShape(2, 1), 0.05, "degenerate alphabet"),
+        ],
+    )
+    def test_fails_before_drawing(self, monkeypatch, probs, shape, alpha, message):
+        calls = []
+        substream = RngSpec.substream
+
+        def counting(self, stream):
+            calls.append(stream)
+            return substream(self, stream)
+
+        monkeypatch.setattr(RngSpec, "substream", counting)
+        with pytest.raises(ValueError, match=message):
+            rejection_rate(ZPmf(probs, shape), 1000, 10, alpha, RngSpec(0))
+        assert calls == []
+
+    def test_matches_per_replicate_independence_tests(self):
+        # Near a product table at a high level both outcomes occur often.
+        z = ZPmf([0.24, 0.26, 0.26, 0.24], PairShape(2, 2))
+        n, replicates, alpha = 500, 200, 0.3
+        reference = sum(
+            independence_test(emp, alpha).reject
+            for emp in montecarlo._empiricals(z, [n] * replicates, RngSpec(8))
+        )
+        rate = rejection_rate(z, n, replicates, alpha, RngSpec(8))
+        assert 0 < reference < replicates
+        assert rate == reference / replicates
 
 
 class TestVarianceCheck:

@@ -160,6 +160,17 @@ class TestEstimatePmf:
         emp = estimate_pmf(np.array([1, 4, 4], dtype=object), PairShape(2, 2))
         np.testing.assert_array_equal(emp.counts, [1, 0, 0, 2])
 
+    def test_float_beyond_int64_names_its_value(self):
+        # The range check runs before the int64 cast, which would wrap these.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value, shown in ((2.0**63, r"9\.223372036854776e\+18"), (np.inf, "inf")):
+                message = rf"sample\[0\] = {shown} outside \[1, 2\]"
+                with pytest.raises(ValueError, match=message):
+                    estimate_pmf([value, 1], PairShape(1, 2))
+            emp = estimate_pmf(np.array([1.0, 2.0, 2.0]), PairShape(1, 2))
+        np.testing.assert_array_equal(emp.counts, [1, 2])
+
     def test_matches_bincount_on_random_samples(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
