@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +65,13 @@ def _substream_key(master_seed: int, stream: int) -> int:
     return z ^ (z >> 31)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy ints pass, bools and the rest raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Master seed plus the substream derivation rule.
@@ -76,9 +84,8 @@ class RngSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
-            raise ValueError(f"master seed must be an integer, got {self.master_seed!r}")
-        object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
+        seed = _integer(self.master_seed, "master seed")
+        object.__setattr__(self, "master_seed", seed & _MASK64)
 
     def substream(self, stream: int) -> np.random.Generator:
         if stream < 0:
@@ -132,6 +139,7 @@ def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[Empiric
     off by 1e-9), and it gives its last cell whatever the others leave, so
     a trailing zero cell could otherwise collect counts lost to rounding.
     """
+    sizes = [_integer(n, "sample size") for n in sizes]
     probs = z_vector(p)
     support = np.flatnonzero(probs)
     weights = probs[support] / probs[support].sum()
@@ -139,7 +147,7 @@ def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[Empiric
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
         counts = np.zeros(p.shape.size, dtype=np.int64)
-        counts[support] = rng.substream(i).multinomial(int(n), weights)
+        counts[support] = rng.substream(i).multinomial(n, weights)
         yield EmpiricalPmf(counts, p.shape)
 
 
@@ -161,18 +169,18 @@ def convergence_trace(
 ) -> ConvergenceTrace:
     """Fresh-sample estimates at each size; size index keys the substream."""
     fn = _measure_fn(measure)
-    sizes_arr = np.asarray(list(sizes), dtype=np.int64)
-    if sizes_arr.size == 0:
+    sizes = list(sizes)
+    if not sizes:
         raise ValueError("sizes must be nonempty")
-    if sizes_arr[0] < 1:
-        raise ValueError(f"sizes must be >= 1, got {int(sizes_arr[0])}")
-    if np.any(np.diff(sizes_arr) <= 0):
+    if sizes[0] < 1:
+        raise ValueError(f"sizes must be >= 1, got {sizes[0]}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     truth = fn(p)
     probs = z_vector(p)
-    estimates = np.empty(sizes_arr.size)
-    a_zn = np.empty(sizes_arr.size)
-    for idx, emp in enumerate(_empiricals(p, sizes_arr, rng)):
+    estimates = np.empty(len(sizes))
+    a_zn = np.empty(len(sizes))
+    for idx, emp in enumerate(_empiricals(p, sizes, rng)):
         estimates[idx] = fn(emp)
         a_zn[idx] = np.abs(emp.freqs - probs).max()
     abs_errors = np.abs(estimates - truth)
@@ -181,7 +189,7 @@ def convergence_trace(
     return ConvergenceTrace(
         measure=measure,
         true_value=truth,
-        sizes=sizes_arr,
+        sizes=np.array(sizes, dtype=np.int64),
         estimates=estimates,
         abs_errors=abs_errors,
         a_zn=a_zn,
@@ -213,14 +221,11 @@ class NormalityStudy:
     qq_sample: np.ndarray  # order statistics of t_values
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def _ks_distance(sorted_values: np.ndarray) -> float:
     """Sup distance between the empirical c.d.f. and the standard normal."""
     r = sorted_values.size
-    phi = np.array([_norm_cdf(float(t)) for t in sorted_values])
+    cdf = NormalDist().cdf
+    phi = np.array([cdf(float(t)) for t in sorted_values])
     upper = np.abs(np.arange(1, r + 1) / r - phi)
     lower = np.abs(np.arange(0, r) / r - phi)
     return float(np.maximum(upper, lower).max())
@@ -235,6 +240,7 @@ def normality_study(
 ) -> NormalityStudy:
     """Distribution of the standardized estimator over seeded replicates."""
     fn = _measure_fn(measure)
+    replicates = _integer(replicates, "replicates")
     if n < 1000:
         raise ValueError(f"normality study needs n >= 1000, got {n}")
     if replicates < 100:
@@ -287,6 +293,7 @@ def rejection_rate(
     once, before any replicate is drawn; each replicate then rejects
     exactly when :func:`~pairinfo.inference.independence_test` would.
     """
+    replicates = _integer(replicates, "replicates")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     _, threshold = lrt_threshold(p.shape, alpha)
@@ -314,6 +321,7 @@ def variance_check(
 ) -> VarianceCheck:
     """Monte Carlo variance next to the two closed forms; no verdict."""
     fn = _measure_fn(measure)
+    replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
     estimates = np.array([fn(emp) for emp in _empiricals(p, [n] * replicates, rng)])

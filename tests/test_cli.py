@@ -164,10 +164,15 @@ class TestCliCommands:
         ent = report["results"]["joint_entropy"]
         assert ent["estimate"] == 1.27985423  # 9 significant digits
         assert ent["n"] == 10
-        assert ent["ci_lower"] <= ent["estimate"] <= ent["ci_upper"]
+        assert ent["ci_lower"] == 1.01622509
+        assert ent["ci_upper"] == 1.54348336
+        assert ent["std_error"] == 0.134507132
         mi = report["results"]["mutual_information"]
         assert mi["estimate"] == 0.00402174323
         assert mi["variance"]["canonical"] == 0.00790830518
+        assert mi["ci_lower"] == -0.0510957936
+        assert mi["ci_upper"] == 0.0591392801
+        assert mi["std_error"] == 0.028121709
         assert report["config"]["alpha"] == 0.05
 
     def test_test_command(self, counts_file, capsys):
@@ -176,11 +181,17 @@ class TestCliCommands:
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        res = report["results"]["independence_test"]
-        assert res["reject"] is False
-        assert res["df"] == 1
-        assert res["gamma_sq"] == 0.0804348646
-        assert res["n"] == 10
+        # The block printed in the README, at 9 significant digits.
+        assert report["results"]["independence_test"] == {
+            "gamma_sq": 0.0804348646,
+            "df": 1,
+            "threshold": 3.84145882,
+            "mi_threshold": 0.192072941,
+            "p_value": 0.776708959,
+            "reject": False,
+            "alpha": 0.05,
+            "n": 10,
+        }
 
     def test_pairs_format(self, tmp_path, capsys):
         path = tmp_path / "pairs.csv"

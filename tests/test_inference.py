@@ -201,6 +201,24 @@ class TestIndependenceTest:
             )
             np.testing.assert_allclose(rep.gamma_sq, 2 * emp.n * mi, rtol=1e-9)
 
+    @pytest.mark.parametrize("df", [1, 4, 100, 9801])
+    def test_upper_tail_matches_scipy(self, df):
+        # Out into the far tail, where 1 - cdf cancels to 0, short of underflow.
+        sd = math.sqrt(2.0 * df)
+        for x in df + sd * np.array([-0.5, 0, 1, 2, 5, 10, 20, 40, 100, 300]):
+            expected = scipy.stats.chi2.sf(x, df)
+            if x <= 0 or expected < 1e-300:
+                continue
+            got = inference._gamma_q(df / 2.0, x / 2.0)
+            assert got == pytest.approx(expected, rel=1e-9, abs=0), (df, x)
+
+    def test_small_p_value_keeps_its_digits(self):
+        emp = EmpiricalPmf(np.array([400, 100, 100, 400]), PairShape(2, 2))
+        rep = independence_test(emp)
+        expected = scipy.stats.chi2.sf(rep.gamma_sq, 1)
+        assert 0 < expected < 1e-50
+        assert rep.p_value == pytest.approx(expected, rel=1e-9, abs=0)
+
     def test_df_from_shape(self):
         rng = np.random.default_rng(606)
         for rows, cols in ((2, 2), (3, 4), (5, 2), (4, 4)):

@@ -1,5 +1,6 @@
 """Tests for seeded sampling and the Monte Carlo studies."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -42,10 +43,13 @@ class TestRngSpec:
     def test_seed_wraps_to_64_bits(self):
         assert RngSpec(2**64 + 5).master_seed == 5
         assert RngSpec(-1).master_seed == 2**64 - 1
+        assert RngSpec(np.int64(-1)).master_seed == 2**64 - 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="integer"):
             RngSpec("abc")
+        with pytest.raises(ValueError, match="integer"):
+            RngSpec(True)
         with pytest.raises(ValueError, match="stream"):
             RngSpec(0).substream(-1)
 
@@ -283,3 +287,87 @@ class TestReplicateKeying:
             np.testing.assert_array_equal(
                 getattr(long, column)[:5], getattr(short, column)
             )
+
+
+
+def _run_trace(z, value):
+    return convergence_trace(z, [value, 10**4], "mi", RngSpec(0))
+
+
+def _run_normality_n(z, value):
+    return normality_study(z, value, 100, "mi", RngSpec(0))
+
+
+def _run_normality_replicates(z, value):
+    return normality_study(z, 2000, value, "mi", RngSpec(0))
+
+
+def _run_power_n(z, value):
+    return rejection_rate(z, value, 10, 0.05, RngSpec(0))
+
+
+def _run_power_replicates(z, value):
+    return rejection_rate(z, 1000, value, 0.05, RngSpec(0))
+
+
+def _run_variance_n(z, value):
+    return variance_check(z, value, 10, "mi", RngSpec(0))
+
+
+def _run_variance_replicates(z, value):
+    return variance_check(z, 1000, value, "mi", RngSpec(0))
+
+
+def _values(result):
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+class TestIntegerCounts:
+    """Sizes and replicate counts must be integers: a float is never
+    truncated or carried into a result, and a bool is not a count."""
+
+    STUDIES = {
+        "trace size": (_run_trace, 100, "sample size"),
+        "normality n": (_run_normality_n, 20000, "sample size"),
+        "normality replicates": (_run_normality_replicates, 150, "replicates"),
+        "power n": (_run_power_n, 1000, "sample size"),
+        "power replicates": (_run_power_replicates, 20, "replicates"),
+        "variance n": (_run_variance_n, 1000, "sample size"),
+        "variance replicates": (_run_variance_replicates, 10, "replicates"),
+    }
+
+    @pytest.mark.parametrize("study", list(STUDIES))
+    @pytest.mark.parametrize("kind", ["fraction", "integral float", "bool", "numpy bool"])
+    def test_rejects_non_integers_before_drawing(self, demo_z, monkeypatch, study, kind):
+        run, good, name = self.STUDIES[study]
+        bad = {
+            "fraction": good + 0.9,
+            "integral float": float(good),
+            "bool": True,
+            "numpy bool": np.True_,
+        }[kind]
+        message = f"{name} must be an integer"
+        if study == "normality n" and "bool" in kind:
+            message = "n >= 1000"  # True is 1, below the study's minimum
+        calls = []
+        substream = RngSpec.substream
+
+        def counting(self, stream):
+            calls.append(stream)
+            return substream(self, stream)
+
+        monkeypatch.setattr(RngSpec, "substream", counting)
+        with pytest.raises(ValueError, match=message):
+            run(demo_z, bad)
+        assert calls == []
+
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_numpy_ints_match_python_ints(self, demo_z, study):
+        run, good, _ = self.STUDIES[study]
+        expected = _values(run(demo_z, good))
+        got = _values(run(demo_z, np.int64(good)))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
