@@ -31,9 +31,11 @@ import io
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -46,7 +48,10 @@ from .montecarlo import (
     normality_study,
     rejection_rate,
 )
-from .pmf import EmpiricalPmf, LabeledAlphabets, estimate_pmf
+from .pmf import EmpiricalPmf, LabeledAlphabets
+
+# Not called by the CLI, but perfbench/tracing.py rebinds it here.
+from .pmf import estimate_pmf  # noqa: F401
 
 log = logging.getLogger("pairinfo")
 
@@ -73,13 +78,14 @@ class RunConfig:
     output_format: str = "json"
 
 
-def _rows(stream: TextIO, header: bool, width: int):
+def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
     """Yield ``(lineno, row)`` for each data row of ``width`` fields.
 
     Skips the header row when asked and blank lines; rows are yielded
-    unstripped, so each caller strips the fields it keeps.
+    unstripped, so each caller strips the fields it keeps.  Records are
+    numbered from ``start``, for a walk that resumes part way into a file.
     """
-    for lineno, row in enumerate(csv.reader(stream), start=1):
+    for lineno, row in enumerate(csv.reader(stream), start=start):
         if (header and lineno == 1) or not row:
             continue
         if len(row) != width:
@@ -87,29 +93,143 @@ def _rows(stream: TextIO, header: bool, width: int):
         yield lineno, row
 
 
+# Lines of a pairs file tallied at a time, and distinct lines whose cell is
+# remembered from one block to the next.
+_BLOCK_LINES = 4096
+_KNOWN_LINES = 1 << 16
+# The lines that csv reads as a record of no fields.
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
+def _whole_records(head: list[str], lines: list[str]) -> list[list[str]] | None:
+    """The row of each of ``lines``, read after the header lines ``head``.
+
+    Returns ``None`` unless every line is one whole record, of 2 fields
+    for each of ``lines``.
+    """
+    records = csv.reader([*head, *lines, "\n"])
+    try:
+        rows = list(islice(records, len(head) + len(lines)))[len(head) :]
+        # A quote left open swallows the trailing blank line, so the records
+        # run out early; otherwise that blank line is the one record left.
+        if next(records) or next(records, None) is not None:
+            return None
+    except (csv.Error, StopIteration):
+        return None
+    if any(len(row) != 2 for row in rows):
+        return None
+    return rows
+
+
+def _walked_cells(
+    records: Iterable[str],
+    header: bool,
+    start: int,
+    x_order: dict[str, int],
+    y_order: dict[str, int],
+):
+    """Yield ``(x indices, y indices, 1)`` for each block of rows walked
+    with :func:`_rows`, the first numbered ``start``."""
+    walk = _rows(records, header, 2, start)
+    while True:
+        xs: list[int] = []
+        ys: list[int] = []
+        for _, (x, y) in islice(walk, _BLOCK_LINES):
+            xs.append(x_order.setdefault(x.strip(), len(x_order)))
+            ys.append(y_order.setdefault(y.strip(), len(y_order)))
+        if not xs:
+            return
+        yield np.fromiter(xs, np.intp, len(xs)), np.fromiter(ys, np.intp, len(ys)), 1
+
+
+def _cell_batches(
+    stream: TextIO, header: bool, x_order: dict[str, int], y_order: dict[str, int]
+):
+    """Yield ``(x indices, y indices, repeats)`` for each block of lines.
+
+    A block's lines are tallied and only the lines not met before are
+    parsed.  From the first block past the first where over a quarter of
+    the lines are new, or that holds a line that is neither blank nor one
+    whole record of two fields, the rest of the file is walked record by
+    record with :func:`_rows`, which reads quoted fields that span lines
+    and raises the ``line N:`` errors.  New labels are appended to
+    ``x_order`` and ``y_order`` in first-appearance order.
+    """
+    known: dict[str, tuple[int, int]] = {}
+    read = 0  # lines read so far, each one whole record
+    while block := list(islice(stream, _BLOCK_LINES)):
+        head = block[:1] if header and not read else []
+        lines = Counter(block[len(head) :])
+        for blank in _BLANK_LINES:
+            lines.pop(blank, None)
+        if len(known) > _KNOWN_LINES:
+            known.clear()
+        new = [line for line in lines if line not in known]
+        # Past the first block, parsing a quarter of the lines costs about as
+        # much as walking them all.
+        rows = None if read and 4 * len(new) > len(block) else _whole_records(head, new)
+        if rows is None:
+            rest = chain(block, stream)
+            yield from _walked_cells(rest, header, read + 1, x_order, y_order)
+            return
+        for line, (x, y) in zip(new, rows):
+            known[line] = (
+                x_order.setdefault(x.strip(), len(x_order)),
+                y_order.setdefault(y.strip(), len(y_order)),
+            )
+        cells = np.fromiter(
+            chain.from_iterable(map(known.__getitem__, lines)), np.intp, 2 * len(lines)
+        ).reshape(-1, 2)
+        yield cells[:, 0], cells[:, 1], np.fromiter(lines.values(), np.int64)
+        read += len(block)
+
+
 def parse_pairs_csv(
     stream: TextIO, header: bool = False
 ) -> tuple[LabeledAlphabets, np.ndarray]:
-    """Read one observation per row (x label, y label).
+    """Read one observation per row (x label, y label) into cell counts.
 
-    Returns the alphabets in first-appearance order and the sample as
-    1-based flattened outcome indices.  Encoding needs the column-alphabet
-    size, so label indices are collected first and encoded once the file
-    is read.
+    Returns the alphabets in first-appearance order and an int64 vector of
+    ``rows * cols`` counts, where cell ``cols * x + y`` counts the rows with
+    x label index ``x`` and y label index ``y``.  Lines are read in blocks;
+    while they mostly repeat earlier lines, repeated lines are tallied and
+    each distinct line is parsed once.  From a block of many new lines, or
+    one holding a line that is not one whole record (a quoted label that
+    spans lines, a ragged row), the rest is read record by record, with
+    the same result and ``line N:`` errors.  No per-row list is kept, so
+    memory grows with the table, not the rows.  The stream is read once,
+    from its current position, and need not be seekable.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
-    xs: list[int] = []
-    ys: list[int] = []
-    for _, (x, y) in _rows(stream, header, 2):
-        xs.append(x_order.setdefault(x.strip(), len(x_order)))
-        ys.append(y_order.setdefault(y.strip(), len(y_order)))
-    if not xs:
+    counts = np.zeros((0, 0), dtype=np.int64)
+    for xs, ys, repeats in _cell_batches(stream, header, x_order, y_order):
+        counts = _room(counts, len(x_order), len(y_order))
+        # Flat indices into the table: faster than a pair of index arrays.
+        np.add.at(counts.reshape(-1), xs * counts.shape[1] + ys, repeats)
+    if not x_order:
         raise ValueError("empty input: no data rows")
     alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
-    sample = np.array(xs, dtype=np.int64) * len(y_order)
-    sample += np.array(ys, dtype=np.int64) + 1
-    return alphabets, sample
+    return alphabets, counts[: len(x_order), : len(y_order)].ravel()
+
+
+def _room(counts: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``counts``, grown to hold at least ``rows x cols`` cells.
+
+    The first table is exact.  Later ones keep an eighth to spare, so that
+    labels which keep coming cost few copies.  New rows are added in place,
+    so a table that grows in x never holds two copies of itself.
+    """
+    if not counts.size:
+        return np.zeros((rows, cols), dtype=np.int64)
+    if cols > counts.shape[1]:
+        grown = np.zeros((rows + rows // 8, cols + cols // 8), dtype=np.int64)
+        grown[: counts.shape[0], : counts.shape[1]] = counts
+        return grown
+    if rows > counts.shape[0]:
+        # No view of the table exists, so it may move.
+        counts.resize((rows + rows // 8, counts.shape[1]), refcheck=False)
+    return counts
 
 
 def parse_counts_csv(
@@ -253,10 +373,11 @@ def _normality_fields(study: NormalityStudy) -> tuple[dict, dict]:
 
 def _ingest(config: RunConfig) -> tuple[LabeledAlphabets, EmpiricalPmf]:
     path = Path(config.input)
-    with path.open(newline="", encoding="utf-8") as stream:
+    # utf-8-sig drops the byte order mark that spreadsheet exports put first.
+    with path.open(newline="", encoding="utf-8-sig") as stream:
         if config.format == "pairs":
-            alphabets, sample = parse_pairs_csv(stream, header=config.header)
-            emp = estimate_pmf(sample, alphabets.shape)
+            alphabets, counts = parse_pairs_csv(stream, header=config.header)
+            emp = EmpiricalPmf(counts, alphabets.shape)
         else:
             alphabets, emp = parse_counts_csv(stream, header=config.header)
     log.info(

@@ -10,7 +10,8 @@ exceeds ``quantile / (2 n)``.
 The chi-square c.d.f. and quantile are implemented here via the
 regularized lower incomplete gamma function (series expansion for small
 arguments, Lentz continued fraction otherwise) so results are bit-stable
-across platforms.  Targets: |cdf error| <= 1e-10, |quantile error| <= 1e-8.
+across platforms.  Targets: |cdf error| <= 1e-10, quantiles within 1e-10
+relative, solved on the smaller tail so levels near 0 or 1 keep their digits.
 The test's p-value comes from the upper tail ``Q = 1 - P`` itself, so a
 small p-value keeps its relative accuracy instead of cancelling to 0.
 Near ``x = a`` both expansions need O(sqrt(a)) terms, so their iteration
@@ -159,13 +160,25 @@ def chi_square_cdf(x: float, df: int) -> float:
 def chi_square_quantile(p: float, df: int) -> float:
     """Inverse chi-square c.d.f.: the x with ``chi_square_cdf(x, df) = p``.
 
-    Wilson-Hilferty starting point, then Newton iterations safeguarded by
-    a shrinking bisection bracket.
+    Solves on the smaller tail, ``P = p`` below the median and ``Q = 1 - p``
+    above it, to a relative tolerance on that tail, so levels near 0 or 1
+    keep their digits.  Wilson-Hilferty starting point, then Newton
+    iterations on the log of the tail, safeguarded by a shrinking
+    bisection bracket.
     """
     _validate_df(df)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
     a = df / 2.0
+    upper = p > 0.5
+    log_target = math.log(1.0 - p if upper else p)
+
+    def excess(x: float) -> tuple[float, float]:
+        """Log of the tail over its target, signed to rise with x, and the tail."""
+        tail = _gamma_q(a, x / 2.0) if upper else _gamma_p(a, x / 2.0)
+        f = math.log(tail) - log_target if tail > 0.0 else -math.inf
+        return (-f if upper else f), tail
+
     # Wilson-Hilferty cube approximation; fall back to the small-x power
     # law when the cube would go nonpositive (tiny p at small df).
     z = normal_quantile(p)
@@ -174,26 +187,32 @@ def chi_square_quantile(p: float, df: int) -> float:
         x = df * t**3
     else:
         x = 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
-    lo, hi = 0.0, max(2.0 * x, 1.0)
-    while chi_square_cdf(hi, df) < p:
+    # Quantiles below 1e-300 (p < 1e-150 at df = 1) come out as 1e-300.
+    lo, hi = 1e-300, max(2.0 * x, 1.0)
+    while excess(hi)[0] < 0:
         hi *= 2.0
         if hi > 1e9:
             break
-    x = min(max(x, lo + 1e-300), hi)
+    x = min(max(x, lo), hi)
     for _ in range(200):
-        f = chi_square_cdf(x, df) - p
+        f, tail = excess(x)
         if f >= 0:
             hi = x
         else:
             lo = x
         if abs(f) < 1e-14:
             break
-        # The density at x is x^(a-1) e^(-x/2) / (2^a Gamma(a)).
-        slope = math.exp(_log_prefactor(a, x / 2.0)) / x
+        # The slope of f: the density x^(a-1) e^(-x/2) / (2^a Gamma(a)) over
+        # the tail, in logs because x * tail can underflow.
+        slope = (
+            math.exp(_log_prefactor(a, x / 2.0) - math.log(x) - math.log(tail))
+            if tail > 0.0
+            else 0.0
+        )
         nxt = x - f / slope if slope > 0 else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= 1e-13 * max(1.0, x):
+        if abs(nxt - x) <= 1e-13 * x:
             x = nxt
             break
         x = nxt

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pairinfo import EmpiricalPmf, PairShape
 from pairinfo.cli import (
+    _BLOCK_LINES,
+    _rows,
     main,
     parse_counts_csv,
     parse_pairs_csv,
@@ -19,17 +24,88 @@ from pairinfo.pmf import LabeledAlphabets
 DEMO_COUNTS_CSV = "x1,y1,2\nx1,y2,4\nx2,y1,1\nx2,y2,3\n"
 
 
+# Inputs where a line is not a whole record of two fields, or where
+# distinct lines share a cell.
+RECORD_WALK_INPUTS = [
+    '"multi\nline",p\nb,q\n',
+    'b,q\nx,"a\nb,q\n',
+    'a"b,"c\nd",p\n',
+    '"h\nx",y\na,p\n',
+    '"x""y",p\n',
+    ' a , p \na,p\n',
+    'a,p\r\nb,q\rc,r\n',
+    'a,p\n\n\r\nb,q\n\n',
+    "\n\r\n\r",
+    "a,p\n" * 6 + "a,p,extra\n",
+    'a,p\nb,"q',
+]
+
+# Where an input sits: alone; among repeated lines; in the second block
+# of lines; across the edge between the first two blocks; and after a
+# block of new lines, which sends the parser to the record walk.
+LAYOUTS = {
+    "alone": "{}",
+    "among_repeats": "a,p\n" * 20 + "{}" + "b,q\n" * 20,
+    "second_block": "a,p\n" * (_BLOCK_LINES + 100) + "{}",
+    "block_edge": "a,p\n" * (_BLOCK_LINES - 1) + "{}" + "a,q\n" * 5,
+    "after_new_lines": "a,p\n" * _BLOCK_LINES
+    + "".join(f"n{i},q\n" for i in range(_BLOCK_LINES))
+    + "{}",
+}
+
+
+class _Pipe(io.RawIOBase):
+    """Bytes that can be read once but not sought, like a pipe."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+def _pipe(text):
+    raw = io.BufferedReader(_Pipe(text.encode()))
+    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+
+
+def _walk_records(stream, header):
+    """Reference: count cells by walking every record with ``_rows``."""
+    x_order, y_order, cells = {}, {}, []
+    for _, (x, y) in _rows(stream, header, 2):
+        xi = x_order.setdefault(x.strip(), len(x_order))
+        cells.append((xi, y_order.setdefault(y.strip(), len(y_order))))
+    if not cells:
+        raise ValueError("empty input: no data rows")
+    counts = np.zeros(len(x_order) * len(y_order), dtype=np.int64)
+    for xi, yi in cells:
+        counts[len(y_order) * xi + yi] += 1
+    return LabeledAlphabets(tuple(x_order), tuple(y_order)), counts
+
+
+def _outcome(parse, stream, header):
+    try:
+        alphabets, counts = parse(stream, header)
+    except ValueError as exc:
+        return str(exc)
+    return alphabets.x_labels, alphabets.y_labels, counts.tolist()
+
+
 class TestParsePairsCsv:
     def test_first_appearance_order_and_encoding(self):
-        alphabets, sample = parse_pairs_csv(io.StringIO("a,p\na,q\nb,p\n"))
+        alphabets, counts = parse_pairs_csv(io.StringIO("a,p\na,q\nb,p\n"))
         assert alphabets.x_labels == ("a", "b")
         assert alphabets.y_labels == ("p", "q")
-        np.testing.assert_array_equal(sample, [1, 2, 3])
+        np.testing.assert_array_equal(counts, [1, 1, 1, 0])
+        assert counts.dtype == np.int64
 
     def test_realizes_expected_frequencies(self):
         rows = ["x1,y1"] * 2 + ["x1,y2"] * 4 + ["x2,y1"] * 1 + ["x2,y2"] * 3
-        alphabets, sample = parse_pairs_csv(io.StringIO("\n".join(rows) + "\n"))
-        emp = EmpiricalPmf(np.bincount(sample - 1, minlength=4), alphabets.shape)
+        alphabets, counts = parse_pairs_csv(io.StringIO("\n".join(rows) + "\n"))
+        emp = EmpiricalPmf(counts, alphabets.shape)
         np.testing.assert_allclose(emp.freqs, [0.2, 0.4, 0.1, 0.3])
 
     def test_ragged_row_reports_line_number(self):
@@ -43,20 +119,62 @@ class TestParsePairsCsv:
 
     def test_header_skipped_only_on_request(self):
         text = "x,y\na,p\nb,q\n"
-        alphabets, sample = parse_pairs_csv(io.StringIO(text), header=True)
+        alphabets, counts = parse_pairs_csv(io.StringIO(text), header=True)
         assert alphabets.x_labels == ("a", "b")
-        assert sample.size == 2
+        assert counts.sum() == 2
         # without the flag the first row is data
-        alphabets2, sample2 = parse_pairs_csv(io.StringIO(text))
+        alphabets2, counts2 = parse_pairs_csv(io.StringIO(text))
         assert alphabets2.x_labels == ("x", "a", "b")
 
     def test_blank_lines_are_ignored(self):
-        alphabets, sample = parse_pairs_csv(io.StringIO("a,p\n\nb,q\n\n"))
-        assert sample.size == 2
+        alphabets, counts = parse_pairs_csv(io.StringIO("a,p\n\nb,q\n\n"))
+        assert counts.sum() == 2
 
     def test_crlf_input(self):
-        alphabets, sample = parse_pairs_csv(io.StringIO("a,p\r\nb,q\r\n"))
+        alphabets, counts = parse_pairs_csv(io.StringIO("a,p\r\nb,q\r\n"))
         assert alphabets.y_labels == ("p", "q")
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("text", RECORD_WALK_INPUTS)
+    def test_matches_record_walk(self, text, layout, header):
+        """Tallying distinct lines gives what walking every record gives."""
+        text = LAYOUTS[layout].format(text)
+        assert _outcome(
+            parse_pairs_csv, io.StringIO(text, newline=""), header
+        ) == _outcome(_walk_records, io.StringIO(text, newline=""), header)
+
+    @pytest.mark.parametrize(
+        "text", ["a,p\n" * 20 + '"multi\nline",q\n', "a,p\n" * 20 + "a,q,r\n"]
+    )
+    def test_stream_need_not_seek(self, text):
+        """A pipe holding a label that spans lines, or a ragged row."""
+        stream = _pipe(text)
+        assert not stream.seekable()
+        assert _outcome(parse_pairs_csv, stream, False) == _outcome(
+            _walk_records, io.StringIO(text, newline=""), False
+        )
+
+    @pytest.mark.parametrize("body", ["a,p\n" * 10, '"a\nb",p\n' + "a,p\n" * 9])
+    def test_reads_from_current_position(self, body):
+        stream = io.StringIO("not,a,pair\n" + body, newline="")
+        stream.readline()
+        alphabets, counts = parse_pairs_csv(stream)
+        assert counts.sum() == 10
+
+    @pytest.mark.parametrize("first", ["a,p\n", '"a\nb",p\n'])
+    def test_memory_scales_with_cells_not_rows(self, first):
+        """Neither the line tally nor the record walk, which a label spanning
+        lines sends the parser to, keeps one entry per row."""
+        stream = io.StringIO(first + "a,q\nb,p\nb,q\n" * 33_333)
+        tracemalloc.start()
+        try:
+            alphabets, counts = parse_pairs_csv(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 100_000
+        assert peak < 1_000_000
 
 
 class TestParseCountsCsv:
@@ -265,6 +383,48 @@ class TestCliCommands:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["alphabets"]["x"] == ["x1", "x2"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pairs_from_named_pipe(self, tmp_path, capsys):
+        """A label spanning lines reads the same from a pipe as from a file."""
+        text = "a,p\n" * 20 + '"multi\nline",q\n' + "b,q\n" * 5
+        path = tmp_path / "regular.csv"
+        path.write_text(text, encoding="utf-8")
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        results = []
+        for source in (pipe, path):
+            assert main(["estimate", "--input", str(source), "--format", "pairs"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            results.append((report["alphabets"], report["results"]))
+        writer.join(timeout=10)
+        assert results[0] == results[1]
+        assert results[0][0]["x"] == ["a", "multi\nline", "b"]
+
+
+class TestByteOrderMark:
+    """Spreadsheet "CSV UTF-8" exports start with a byte order mark."""
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("counts", DEMO_COUNTS_CSV), ("pairs", "x1,y1\nx1,y2\nx2,y1\nx1,y1\n")],
+    )
+    def test_report_ignores_mark(self, tmp_path, capsys, fmt, text):
+        path = tmp_path / "input.csv"
+        reports = []
+        for mark in ("", "\ufeff"):
+            path.write_text(mark + text, encoding="utf-8")
+            assert main(["estimate", "--input", str(path), "--format", fmt]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_duplicate_of_first_cell_is_caught(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("\ufeff" + DEMO_COUNTS_CSV + "x1,y1,5\n", encoding="utf-8")
+        assert main(["estimate", "--input", str(path), "--format", "counts"]) == 2
+        assert "line 5: duplicate cell (x1, y1)" in capsys.readouterr().err
 
 
 CONFIG_KEYS = [

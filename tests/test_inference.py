@@ -25,6 +25,15 @@ from pairinfo import inference
 CHI2_95_DF1 = 3.841458820694126
 CHI2_95_DF2 = 5.991464547107982
 GAMMA_DEMO_N10 = 0.08043486460964727
+QUANTILE_DFS = [
+    1, 2, 3, 4, 5, 7, 10, 15, 25, 50, 80, 100, 150, 361, 500, 1000, 2000,
+    5000, 9801, 20000, 100000, 1000000,
+]
+QUANTILE_LEVELS = [
+    1e-100, 1e-50, 1e-20, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1,
+    0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
+    1 - 1e-12,
+]
 
 
 def random_empirical(rng, max_side=6, n_max=500):
@@ -142,6 +151,19 @@ class TestChiSquareQuantile:
                     scipy.stats.chi2.ppf(p, df),
                     rtol=1e-7,
                 )
+
+    @pytest.mark.parametrize("df", QUANTILE_DFS)
+    def test_matches_scipy_in_both_tails(self, df):
+        """Relative accuracy holds at levels near 0 and near 1 too."""
+        for p in QUANTILE_LEVELS:
+            np.testing.assert_allclose(
+                chi_square_quantile(p, df), scipy.stats.chi2.ppf(p, df), rtol=1e-10
+            )
+
+    def test_quantile_below_the_float_floor(self):
+        """A quantile below 1e-300 (p < 1e-150 at df = 1) is floored there."""
+        for p in (1e-200, 5e-324):
+            assert chi_square_quantile(p, 1) == 1e-300
 
     def test_monotone_in_p(self):
         qs = [chi_square_quantile(p, 4) for p in np.linspace(0.01, 0.99, 50)]
