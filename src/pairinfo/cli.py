@@ -15,10 +15,11 @@ Study commands treat the ingested table's relative frequencies as the true
 distribution to simulate from.
 
 Reports go to ``--output`` (default ``-`` = standard output) as JSON with
-a fixed key order and floats rounded to 9 significant digits, so identical
-input and configuration produce byte-identical bytes.  The trace command
-emits CSV rows by default; ``--output-format`` switches between json and
-csv for the two row-oriented studies.  Logs go to standard error only.
+a fixed key order and floats rounded to 9 significant digits (non-finite
+ones as null), so identical input and configuration produce byte-identical
+bytes.  The trace command emits CSV rows by default; ``--output-format``
+switches between json and csv for the two row-oriented studies.  Logs go
+to standard error only.
 
 Exit codes: 0 success, 2 input or data error, 64 usage error.
 """
@@ -30,6 +31,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -83,18 +85,29 @@ def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
 
     Skips the header row when asked and blank lines; rows are yielded
     unstripped, so each caller strips the fields it keeps.  Records are
-    numbered from ``start``, for a walk that resumes part way into a file.
+    numbered from ``start``, for a walk that resumes part way into a file
+    after ``start - 1`` lines that were one record each, and every
+    ``line N:`` error names its record by that number: the line the record
+    starts on, unless a quoted field of an earlier record spans lines.  A
+    record csv cannot read raises ``ValueError`` too.
     """
-    for lineno, row in enumerate(csv.reader(stream), start=start):
-        if (header and lineno == 1) or not row:
-            continue
-        if len(row) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        yield lineno, row
+    lineno = start - 1
+    try:
+        for lineno, row in enumerate(csv.reader(stream), start=start):
+            if (header and lineno == 1) or not row:
+                continue
+            if len(row) != width:
+                raise ValueError(
+                    f"line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            yield lineno, row
+    except csv.Error as exc:
+        # The record csv failed on is the one after the last it read.
+        raise ValueError(f"line {lineno + 1}: {exc}") from None
 
 
-# Lines of a pairs file tallied at a time, and distinct lines whose cell is
-# remembered from one block to the next.
+# Lines of a pairs file read at a time, and distinct lines the running tally
+# holds before it yields their cells and starts afresh.
 _BLOCK_LINES = 4096
 _KNOWN_LINES = 1 << 16
 # The lines that csv reads as a record of no fields.
@@ -142,46 +155,65 @@ def _walked_cells(
         yield np.fromiter(xs, np.intp, len(xs)), np.fromiter(ys, np.intp, len(ys)), 1
 
 
+def _tallied_cells(tally: Counter, cells: dict[str, tuple[int, int]]):
+    """``(x indices, y indices, repeats)`` of the lines in ``tally``, each
+    line's cell looked up in ``cells``."""
+    xy = np.fromiter(
+        chain.from_iterable(map(cells.__getitem__, tally)), np.intp, 2 * len(tally)
+    ).reshape(-1, 2)
+    return xy[:, 0], xy[:, 1], np.fromiter(tally.values(), np.int64, len(tally))
+
+
 def _cell_batches(
     stream: TextIO, header: bool, x_order: dict[str, int], y_order: dict[str, int]
 ):
-    """Yield ``(x indices, y indices, repeats)`` for each block of lines.
+    """Yield ``(x indices, y indices, repeats)`` for batches of lines.
 
-    A block's lines are tallied and only the lines not met before are
-    parsed.  From the first block past the first where over a quarter of
-    the lines are new, or that holds a line that is neither blank nor one
-    whole record of two fields, the rest of the file is walked record by
-    record with :func:`_rows`, which reads quoted fields that span lines
-    and raises the ``line N:`` errors.  New labels are appended to
-    ``x_order`` and ``y_order`` in first-appearance order.
+    One running tally counts every line of the stream, a block of lines at
+    a time, and only the lines it has not met before are parsed, each into
+    a cell.  The tallied cells are yielded at the end of the stream, or
+    once the tally holds over ``_KNOWN_LINES`` distinct lines, when it
+    starts afresh so that memory stays bounded.  From the first block past
+    the first where over a quarter of the lines are new, or that holds a
+    line that is neither blank nor one whole record of two fields, the
+    tally of the blocks before it is yielded and the rest of the file is
+    walked record by record with :func:`_rows`, which reads quoted fields
+    that span lines and raises the ``line N:`` errors.  New labels are
+    appended to ``x_order`` and ``y_order`` in first-appearance order.
     """
-    known: dict[str, tuple[int, int]] = {}
+    tally: Counter[str] = Counter()
+    cells: dict[str, tuple[int, int]] = {}
     read = 0  # lines read so far, each one whole record
     while block := list(islice(stream, _BLOCK_LINES)):
         head = block[:1] if header and not read else []
-        lines = Counter(block[len(head) :])
+        body = block[len(head) :]
+        before = len(tally)
+        tally.update(body)
         for blank in _BLANK_LINES:
-            lines.pop(blank, None)
-        if len(known) > _KNOWN_LINES:
-            known.clear()
-        new = [line for line in lines if line not in known]
+            tally.pop(blank, None)
+        # Dicts keep insertion order, so the lines met for the first time
+        # are the last keys of the tally.
+        new = list(islice(reversed(tally), len(tally) - before))[::-1]
         # Past the first block, parsing a quarter of the lines costs about as
         # much as walking them all.
         rows = None if read and 4 * len(new) > len(block) else _whole_records(head, new)
         if rows is None:
+            tally.subtract(body)
+            yield _tallied_cells(+tally, cells)
             rest = chain(block, stream)
             yield from _walked_cells(rest, header, read + 1, x_order, y_order)
             return
         for line, (x, y) in zip(new, rows):
-            known[line] = (
+            cells[line] = (
                 x_order.setdefault(x.strip(), len(x_order)),
                 y_order.setdefault(y.strip(), len(y_order)),
             )
-        cells = np.fromiter(
-            chain.from_iterable(map(known.__getitem__, lines)), np.intp, 2 * len(lines)
-        ).reshape(-1, 2)
-        yield cells[:, 0], cells[:, 1], np.fromiter(lines.values(), np.int64)
         read += len(block)
+        if len(tally) > _KNOWN_LINES:
+            yield _tallied_cells(tally, cells)
+            tally.clear()
+            cells.clear()
+    yield _tallied_cells(tally, cells)
 
 
 def parse_pairs_csv(
@@ -191,14 +223,17 @@ def parse_pairs_csv(
 
     Returns the alphabets in first-appearance order and an int64 vector of
     ``rows * cols`` counts, where cell ``cols * x + y`` counts the rows with
-    x label index ``x`` and y label index ``y``.  Lines are read in blocks;
-    while they mostly repeat earlier lines, repeated lines are tallied and
-    each distinct line is parsed once.  From a block of many new lines, or
-    one holding a line that is not one whole record (a quoted label that
-    spans lines, a ragged row), the rest is read record by record, with
-    the same result and ``line N:`` errors.  No per-row list is kept, so
-    memory grows with the table, not the rows.  The stream is read once,
-    from its current position, and need not be seekable.
+    x label index ``x`` and y label index ``y``.  Lines are read in blocks
+    into one running tally of distinct lines; while they mostly repeat
+    earlier lines, a line is parsed only when the tally first meets it, and
+    the counts reach the table when the stream ends or the tally, grown
+    past ``_KNOWN_LINES`` distinct lines, starts afresh.  From a block of
+    many new lines, or one holding a line that is not one whole record (a
+    quoted label that spans lines, a ragged row), the rest is read record
+    by record, with the same result and ``line N:`` errors.  No per-row
+    list is kept, so memory grows with the table, not the rows.  The
+    stream is read once, from its current position, and need not be
+    seekable.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
@@ -308,7 +343,8 @@ def parse_sizes(text: str) -> list[int]:
 
 
 def _jsonable(obj):
-    """Plain JSON types with floats rounded to 9 significant digits."""
+    """Plain JSON types with floats rounded to 9 significant digits and
+    non-finite floats as ``None``."""
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -320,7 +356,9 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".9g"))
+        # JSON has no NaN or infinity; strict parsers reject the bare tokens.
+        value = float(obj)
+        return float(format(value, ".9g")) if math.isfinite(value) else None
     return obj
 
 

@@ -18,7 +18,8 @@ def entropy(probs) -> float:
     """Shannon entropy -sum p log p in nats of a bare probability vector."""
     arr = np.asarray(probs, dtype=float)
     pos = arr[arr > 0]
-    return float(-(pos * np.log(pos)).sum())
+    # 0.0 - s is -s, except that a point mass gets 0.0, not -0.0.
+    return 0.0 - float((pos * np.log(pos)).sum())
 
 
 def joint_entropy(p: PmfLike) -> float:

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairinfo import EmpiricalPmf, PairShape
+from pairinfo import EmpiricalPmf, PairShape, cli
 from pairinfo.cli import (
     _BLOCK_LINES,
     _rows,
@@ -113,6 +113,13 @@ class TestParsePairsCsv:
         with pytest.raises(ValueError, match="line 7: expected 2 fields"):
             parse_pairs_csv(io.StringIO(text))
 
+    def test_line_numbers_count_records(self):
+        """A label spanning two lines is one record, so the ragged row on
+        the third line is record 2."""
+        text = '"multi\nline",p\na,p,extra\n'
+        with pytest.raises(ValueError, match="line 2: expected 2 fields"):
+            parse_pairs_csv(io.StringIO(text))
+
     def test_empty_file(self):
         with pytest.raises(ValueError, match="empty input"):
             parse_pairs_csv(io.StringIO(""))
@@ -143,6 +150,45 @@ class TestParsePairsCsv:
         assert _outcome(
             parse_pairs_csv, io.StringIO(text, newline=""), header
         ) == _outcome(_walk_records, io.StringIO(text, newline=""), header)
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("text", RECORD_WALK_INPUTS)
+    def test_matches_record_walk_across_flushes(self, text, layout, header, monkeypatch):
+        """A tally that yields its cells and starts afresh past two lines."""
+        monkeypatch.setattr(cli, "_KNOWN_LINES", 2)
+        self.test_matches_record_walk(text, layout, header)
+
+    @pytest.mark.parametrize("known_lines", [cli._KNOWN_LINES, 2])
+    def test_late_line_keeps_first_appearance_order(self, known_lines, monkeypatch):
+        """Lines first met after many blocks of repeats take the next label
+        indices in the order they appear."""
+        monkeypatch.setattr(cli, "_KNOWN_LINES", known_lines)
+        repeats = "a,p\nb,p\n" * (3 * _BLOCK_LINES)
+        text = repeats + "c,q\n" + repeats + "d,r\nb,s\ne,q\n" + repeats
+        outcome = _outcome(parse_pairs_csv, io.StringIO(text), False)
+        assert outcome[:2] == (("a", "b", "c", "d", "e"), ("p", "q", "r", "s"))
+        assert outcome == _outcome(_walk_records, io.StringIO(text), False)
+
+    @pytest.mark.parametrize("new_lines, walked", [(1024, False), (1025, True)])
+    def test_blank_lines_are_not_new(self, new_lines, walked, monkeypatch):
+        """Past the first block, a block walks once over a quarter of its
+        lines are new; its blank lines do not count towards that."""
+        calls = []
+
+        def walk(*args):
+            calls.append(args[2])
+            return real_walk(*args)
+
+        real_walk = cli._walked_cells
+        monkeypatch.setattr(cli, "_walked_cells", walk)
+        second = ["\n", "\r\n", "\r"] + [f"n{i},q\n" for i in range(new_lines)]
+        second += ["a,p\n"] * (_BLOCK_LINES - len(second))
+        text = "a,p\n" * _BLOCK_LINES + "".join(second)
+        assert _outcome(parse_pairs_csv, io.StringIO(text, newline=""), False) == (
+            _outcome(_walk_records, io.StringIO(text, newline=""), False)
+        )
+        assert calls == ([_BLOCK_LINES + 1] if walked else [])
 
     @pytest.mark.parametrize(
         "text", ["a,p\n" * 20 + '"multi\nline",q\n', "a,p\n" * 20 + "a,q,r\n"]
@@ -515,6 +561,45 @@ class TestReportLayout:
         assert len(lines) == 5 + 100 + 1  # trailing newline
 
 
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+class TestNonFiniteAndZero:
+    """Reports that strict JSON parsers accept, with no negative zero."""
+
+    TABLE = "x1,y1,1\nx1,y2,0\nx2,y1,0\nx2,y2,1\n"
+    TRACE = ["trace", "--measure", "entropy", "--sizes", "1:3:1", "--seed", "3"]
+
+    def test_trace_json_writes_null_for_nan(self, tmp_path, capsys):
+        path = tmp_path / "diagonal.csv"
+        path.write_text(self.TABLE, encoding="utf-8")
+        args = self.TRACE + ["--input", str(path), "--format", "counts"]
+        assert main(args + ["--output-format", "json"]) == 0
+        trace = json.loads(
+            capsys.readouterr().out, parse_constant=_reject_constant
+        )["results"]["trace"]
+        assert trace["a_zn"][1] == 0.0
+        assert trace["ratio"][1] is None
+        # CSV cells keep nan, and the point mass drawn at size 1 reads 0.
+        assert main(args) == 0
+        rows = capsys.readouterr().out.split("\n")[3:5]
+        assert rows[0].startswith("1,0,")
+        assert rows[1].endswith(",0,nan")
+
+    @pytest.mark.parametrize(
+        "fmt, text", [("pairs", "a,p\na,p\n"), ("counts", "a,p,2\n")]
+    )
+    def test_one_cell_estimate_has_no_negative_zero(self, tmp_path, capsys, fmt, text):
+        path = tmp_path / "one_cell.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["estimate", "--input", str(path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        ent = json.loads(out)["results"]["joint_entropy"]
+        assert ent["estimate"] == ent["ci_lower"] == ent["ci_upper"] == 0.0
+
+
 class TestCliDeterminism:
     def test_identical_config_gives_identical_bytes(self, counts_file, capsys):
         args = [
@@ -571,6 +656,24 @@ class TestCliErrors:
         code = main(["estimate", "--input", str(path), "--format", "counts"])
         assert code == 2
         assert "line 1: count must be at most" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fmt, text, line",
+        [
+            ("pairs", 'x,"a\n' + "b,c\n" * 40_000, 1),
+            ("pairs", "a,p\n" * 5000 + 'x,"a\n' + "b,c\n" * 40_000, 5001),
+            ("pairs", '"multi\nline",p\nx,"a\n' + "b,c\n" * 40_000, 2),
+            ("counts", 'x,y,"a\n' + "b,c,1\n" * 40_000, 1),
+        ],
+        ids=["pairs", "pairs_after_tallied_blocks", "pairs_after_multiline", "counts"],
+    )
+    def test_field_beyond_csv_limit_exits_2(self, tmp_path, capsys, fmt, text, line):
+        """An open quote that swallows more than csv's field limit."""
+        path = tmp_path / "open_quote.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["estimate", "--input", str(path), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: field larger than field limit" in err
 
     def test_unknown_command_exits_64(self):
         with pytest.raises(SystemExit) as info:

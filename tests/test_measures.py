@@ -46,6 +46,8 @@ class TestEntropy:
 
     def test_degenerate_is_zero(self):
         assert entropy([1.0, 0.0, 0.0]) == 0.0
+        # A positive zero, which reports print as 0.0, not -0.0.
+        assert math.copysign(1.0, entropy([1.0, 0.0, 0.0])) == 1.0
 
     def test_matches_scipy_on_random_vectors(self):
         rng = np.random.default_rng(42)
