@@ -13,12 +13,9 @@ from .asymptotics import (
     EstimateReport,
     VariancePair,
     confidence_interval,
-    diagonal_mi_variance,
     entropy_variance,
     estimate_report,
-    marginal_variance,
     mi_variance,
-    multinomial_covariance,
     normal_quantile,
     rate_constant,
 )
@@ -36,7 +33,6 @@ from .measures import (
     joint_entropy,
     kl_divergence,
     mutual_information,
-    mutual_information_from_entropies,
 )
 from .montecarlo import (
     ConvergenceTrace,
@@ -54,10 +50,7 @@ from .pmf import (
     JointPmf,
     LabeledAlphabets,
     ZPmf,
-    conditional_x_given_y,
-    conditional_y_given_x,
     estimate_pmf,
-    joint_view,
     marginal_x,
     marginal_y,
     z_view,
@@ -75,25 +68,18 @@ __all__ = [
     "EmpiricalPmf",
     "LabeledAlphabets",
     "z_view",
-    "joint_view",
     "estimate_pmf",
     "marginal_x",
     "marginal_y",
-    "conditional_x_given_y",
-    "conditional_y_given_x",
     "entropy",
     "joint_entropy",
     "mutual_information",
-    "mutual_information_from_entropies",
     "kl_divergence",
     "VariancePair",
     "EstimateReport",
     "entropy_variance",
     "mi_variance",
-    "diagonal_mi_variance",
-    "marginal_variance",
     "rate_constant",
-    "multinomial_covariance",
     "normal_quantile",
     "confidence_interval",
     "estimate_report",

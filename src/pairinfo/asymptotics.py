@@ -19,8 +19,8 @@ in a :class:`VariancePair` so simulation can adjudicate; the Monte Carlo
 harness pins its checks to ``canonical``.
 
 Also here: the summability constant ``sum_k |1 + log p_k|`` that controls
-the estimator's convergence rate, the scaled multinomial covariance matrix,
-normal-based confidence intervals, and plain estimate reports.
+the estimator's convergence rate, normal-based confidence intervals, and
+plain estimate reports.
 """
 
 from __future__ import annotations
@@ -123,49 +123,6 @@ def mi_variance(p: PmfLike) -> VariancePair:
     return _variance_pair(probs, weights)
 
 
-def diagonal_mi_variance(p: PmfLike) -> VariancePair:
-    """Variance form restricted to the diagonal cells of a square table.
-
-    Uses the same quadratic forms as :func:`mi_variance` but only over the
-    cells with equal row and column index (flattened positions
-    ``1 + (i - 1) * (cols + 1)``), covering paired data where only
-    agreement between the coordinates is observed.
-    """
-    if not p.shape.is_square:
-        raise ValueError(
-            f"diagonal variance needs a square shape, got "
-            f"{p.shape.rows}x{p.shape.cols}"
-        )
-    probs, weights = _pointwise_mi(p)
-    idx = np.arange(p.shape.rows) * (p.shape.cols + 1)
-    return _variance_pair(probs[idx], weights[idx])
-
-
-def marginal_variance(p: PmfLike, axis: str, index: int) -> VariancePair:
-    """Variance pair for one marginal probability estimate.
-
-    ``axis`` is ``"x"`` (row variable) or ``"y"`` (column variable) and
-    ``index`` is the 1-based symbol.  ``canonical`` reduces to the binomial
-    form ``m (1 - m)`` for marginal value ``m``.
-    """
-    table = z_vector(p).reshape(p.shape.rows, p.shape.cols)
-    if axis == "x":
-        if not 1 <= index <= p.shape.rows:
-            raise ValueError(
-                f"row index i = {index} outside [1, {p.shape.rows}]"
-            )
-        cells = table[index - 1, :]
-    elif axis == "y":
-        if not 1 <= index <= p.shape.cols:
-            raise ValueError(
-                f"column index j = {index} outside [1, {p.shape.cols}]"
-            )
-        cells = table[:, index - 1]
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return _variance_pair(cells, np.ones_like(cells))
-
-
 def rate_constant(p: PmfLike) -> float:
     """Summability constant ``sum_k |1 + log p_k|`` of the flattened p.m.f.
 
@@ -181,25 +138,6 @@ def rate_constant(p: PmfLike) -> float:
             f"flattened cell k = {k + 1} is zero"
         )
     return float(np.abs(1.0 + np.log(probs)).sum())
-
-
-def multinomial_covariance(p: PmfLike) -> np.ndarray:
-    """Scaled covariance matrix of the empirical p.m.f. at sample size n.
-
-    Entry (k, k') is ``1 - p_k`` on the diagonal and ``-sqrt(p_k p_k')``
-    off it, i.e. ``I - u u^T`` for ``u = sqrt(p)``.  Symmetric and positive
-    semidefinite with a zero eigenvalue along ``u``.  Requires a strictly
-    positive p.m.f.
-    """
-    probs = z_vector(p)
-    if np.any(probs == 0):
-        k = int(np.argmax(probs == 0))
-        raise ValueError(
-            f"covariance matrix requires a strictly positive p.m.f.; "
-            f"flattened cell k = {k + 1} is zero"
-        )
-    u = np.sqrt(probs)
-    return np.eye(len(probs)) - np.outer(u, u)
 
 
 def normal_quantile(q: float) -> float:
@@ -265,10 +203,7 @@ __all__ = [
     "EstimateReport",
     "entropy_variance",
     "mi_variance",
-    "diagonal_mi_variance",
-    "marginal_variance",
     "rate_constant",
-    "multinomial_covariance",
     "normal_quantile",
     "confidence_interval",
     "estimate_report",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pmf import PmfLike, marginal_x, marginal_y, z_vector
+from .pmf import PmfLike, z_vector
 
 
 def entropy(probs) -> float:
@@ -48,11 +48,6 @@ def mutual_information(p: PmfLike) -> float:
     return float(
         (table[mask] * np.log(table[mask] / denom[mask])).sum()
     )
-
-
-def mutual_information_from_entropies(p: PmfLike) -> float:
-    """Mutual information via the identity H(X) + H(Y) - H(X,Y)."""
-    return entropy(marginal_x(p)) + entropy(marginal_y(p)) - joint_entropy(p)
 
 
 def kl_divergence(p: PmfLike, q: PmfLike) -> float:

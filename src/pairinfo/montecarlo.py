@@ -20,16 +20,22 @@ the studies never draw raw outcomes: :func:`_empiricals` makes replicate
 by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.
 :func:`sample_z` stays public for callers that need raw outcomes.
 
-Determinism contract: studies run in one thread, and every replicate (a
-trace size counts as one) comes from :func:`_empiricals`.  Results are
-byte-identical for a given seed and configuration, and a larger study
-extends a smaller one: its first replicates are the smaller study's, bit
-for bit.
+Determinism contract: every replicate (a trace size counts as one) comes
+from :func:`_empiricals`, and replicate ``i`` draws only from substream
+``(master_seed, i)``.  On a wide support the draws run on one worker
+thread per available CPU, but each still uses its own substream and the
+replicates come back in index order, so results are byte-identical for a
+given seed and configuration whatever the number of threads, and a larger
+study extends a smaller one: its first replicates are the smaller
+study's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -129,6 +135,23 @@ def _measure_variance(p: ZPmf, measure: str) -> tuple[float, float]:
     return pair.canonical, pair.alternate
 
 
+# Supports of at least this many cells draw on a thread pool; on smaller
+# ones handing a draw to a worker costs more than it saves.  Pooled over
+# serial time of normality and power studies (Dirichlet tables, n = 20000,
+# R = 400, 2 threads on a 2-vCPU host, medians of 9): 1.46 at k = 64,
+# 1.3-1.4 at 256, 1.08 at 1024, 0.85-0.90 at 1600, 0.82 at 2025, 0.71-0.85
+# at 4096 and 0.73 at 10^4.
+_POOL_MIN_CELLS = 2048
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[EmpiricalPmf]:
     """Empirical p.m.f. of replicate ``i``: ``sizes[i]`` draws from substream ``i``.
 
@@ -138,17 +161,54 @@ def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[Empiric
     weights whose sum exceeds 1 by more than 1e-12 (a :class:`ZPmf` may be
     off by 1e-9), and it gives its last cell whatever the others leave, so
     a trailing zero cell could otherwise collect counts lost to rounding.
+
+    With more than one CPU and a support of at least ``_POOL_MIN_CELLS``
+    cells, the draws run on one worker thread per CPU (``multinomial``
+    releases the GIL), at most two per thread in flight.  Everything else,
+    substream set-up included, stays on the caller's thread, and the
+    replicates are yielded in index order, so the results do not depend on
+    the number of threads.  Every size is checked before the first draw.
     """
     sizes = [_integer(n, "sample size") for n in sizes]
+    for n in sizes:
+        if n < 1:
+            raise ValueError(f"sample size must be at least 1, got {n}")
     probs = z_vector(p)
     support = np.flatnonzero(probs)
     weights = probs[support] / probs[support].sum()
-    for i, n in enumerate(sizes):
-        if n < 1:
-            raise ValueError(f"sample size must be at least 1, got {n}")
+
+    def empirical(drawn: np.ndarray) -> EmpiricalPmf:
         counts = np.zeros(p.shape.size, dtype=np.int64)
-        counts[support] = rng.substream(i).multinomial(n, weights)
-        yield EmpiricalPmf(counts, p.shape)
+        counts[support] = drawn
+        return EmpiricalPmf(counts, p.shape)
+
+    threads = _cpus()
+    if threads < 2 or support.size < _POOL_MIN_CELLS:
+        for i, n in enumerate(sizes):
+            yield empirical(rng.substream(i).multinomial(n, weights))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque()
+        for i, n in enumerate(sizes):
+            pending.append(pool.submit(rng.substream(i).multinomial, n, weights))
+            if len(pending) == 2 * threads:
+                yield empirical(pending.popleft().result())
+        while pending:
+            yield empirical(pending.popleft().result())
+
+
+def _replicates(
+    p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable
+) -> np.ndarray:
+    """``statistic`` of each replicate of :func:`_empiricals`, in index order.
+
+    The replicate stream is closed even when ``statistic`` raises, so a
+    study that fails midway leaves no draw thread behind.
+    """
+    with closing(_empiricals(p, sizes, rng)) as empiricals:
+        return np.array([statistic(emp) for emp in empiricals])
 
 
 @dataclass(frozen=True)
@@ -169,7 +229,7 @@ def convergence_trace(
 ) -> ConvergenceTrace:
     """Fresh-sample estimates at each size; size index keys the substream."""
     fn = _measure_fn(measure)
-    sizes = list(sizes)
+    sizes = [_integer(n, "sample size") for n in sizes]
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if sizes[0] < 1:
@@ -178,11 +238,9 @@ def convergence_trace(
         raise ValueError("sizes must be strictly increasing")
     truth = fn(p)
     probs = z_vector(p)
-    estimates = np.empty(len(sizes))
-    a_zn = np.empty(len(sizes))
-    for idx, emp in enumerate(_empiricals(p, sizes, rng)):
-        estimates[idx] = fn(emp)
-        a_zn[idx] = np.abs(emp.freqs - probs).max()
+    estimates, a_zn = _replicates(
+        p, sizes, rng, lambda emp: (fn(emp), np.abs(emp.freqs - probs).max())
+    ).T
     abs_errors = np.abs(estimates - truth)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(a_zn > 0, abs_errors / a_zn, np.nan)
@@ -240,6 +298,7 @@ def normality_study(
 ) -> NormalityStudy:
     """Distribution of the standardized estimator over seeded replicates."""
     fn = _measure_fn(measure)
+    n = _integer(n, "sample size")
     replicates = _integer(replicates, "replicates")
     if n < 1000:
         raise ValueError(f"normality study needs n >= 1000, got {n}")
@@ -255,7 +314,7 @@ def normality_study(
             f"{canonical} for this p.m.f."
         )
     sigma = math.sqrt(canonical)
-    estimates = np.array([fn(emp) for emp in _empiricals(p, [n] * replicates, rng)])
+    estimates = _replicates(p, [n] * replicates, rng, fn)
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
@@ -297,11 +356,10 @@ def rejection_rate(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     _, threshold = lrt_threshold(p.shape, alpha)
-    rejections = sum(
-        lrt_statistic(emp) > threshold
-        for emp in _empiricals(p, [n] * replicates, rng)
+    rejects = _replicates(
+        p, [n] * replicates, rng, lambda emp: lrt_statistic(emp) > threshold
     )
-    return rejections / replicates
+    return int(rejects.sum()) / replicates
 
 
 class VarianceCheck(NamedTuple):
@@ -324,7 +382,7 @@ def variance_check(
     replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
-    estimates = np.array([fn(emp) for emp in _empiricals(p, [n] * replicates, rng)])
+    estimates = _replicates(p, [n] * replicates, rng, fn)
     canonical, alternate = _measure_variance(p, measure)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),

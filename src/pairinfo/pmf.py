@@ -228,13 +228,6 @@ def z_view(joint: JointPmf) -> ZPmf:
     return ZPmf(joint.probs.ravel(), joint.shape, strict=joint.strict)
 
 
-def joint_view(z: ZPmf) -> JointPmf:
-    """Reshape the flattened view back into the joint table."""
-    return JointPmf(
-        z.probs.reshape(z.shape.rows, z.shape.cols), strict=z.strict
-    )
-
-
 def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
     """Empirical distribution of a sample of 1-based flattened outcomes.
 
@@ -276,29 +269,3 @@ def marginal_x(p: PmfLike) -> np.ndarray:
 def marginal_y(p: PmfLike) -> np.ndarray:
     """Column-variable marginal (length ``cols``); sums to 1."""
     return _as_table(p).sum(axis=0)
-
-
-def conditional_x_given_y(p: PmfLike, j: int) -> np.ndarray:
-    """Distribution of the row variable given column outcome j (1-based)."""
-    if not 1 <= j <= p.shape.cols:
-        raise ValueError(f"column index j = {j} outside [1, {p.shape.cols}]")
-    column = _as_table(p)[:, j - 1]
-    total = column.sum()
-    if total == 0:
-        raise ValueError(
-            f"conditioning event has probability zero (column j = {j})"
-        )
-    return column / total
-
-
-def conditional_y_given_x(p: PmfLike, i: int) -> np.ndarray:
-    """Distribution of the column variable given row outcome i (1-based)."""
-    if not 1 <= i <= p.shape.rows:
-        raise ValueError(f"row index i = {i} outside [1, {p.shape.rows}]")
-    row = _as_table(p)[i - 1, :]
-    total = row.sum()
-    if total == 0:
-        raise ValueError(
-            f"conditioning event has probability zero (row i = {i})"
-        )
-    return row / total

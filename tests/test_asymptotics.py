@@ -18,13 +18,10 @@ from pairinfo import (
     PairShape,
     ZPmf,
     confidence_interval,
-    diagonal_mi_variance,
     entropy_variance,
     estimate_pmf,
     estimate_report,
-    marginal_variance,
     mi_variance,
-    multinomial_covariance,
     mutual_information,
     normal_quantile,
     rate_constant,
@@ -38,9 +35,6 @@ VH_CANONICAL = 0.18092168665391796
 VH_ALTERNATE = 0.21168486402361457
 VMI_CANONICAL = 0.0079083051831783534
 VMI_ALTERNATE = 0.0071305296188603009
-VDIAG_CANONICAL = 0.001903442605922918
-VDIAG_ALTERNATE = 0.0023484020452954434
-VX1_ALTERNATE = 0.30949033200812192
 A_DEMO = 2.199705077879927
 A_UNIFORM_2X2 = 1.5451774444795625
 Z_975 = 1.9599639845400542
@@ -142,114 +136,6 @@ class TestMiVariance:
                 (table * b * b).sum() - mi**2,
                 atol=1e-12,
             )
-
-
-class TestDiagonalMiVariance:
-    def test_demo_table_frozen_values(self, demo_z):
-        pair = diagonal_mi_variance(demo_z)
-        np.testing.assert_allclose(pair.canonical, VDIAG_CANONICAL, rtol=1e-12)
-        np.testing.assert_allclose(pair.alternate, VDIAG_ALTERNATE, rtol=1e-12)
-
-    def test_single_cell_is_zero(self):
-        z = ZPmf([1.0], PairShape(1, 1))
-        assert diagonal_mi_variance(z).canonical == 0.0
-
-    def test_square_product_is_zero(self):
-        z = z_view(JointPmf(np.outer([0.3, 0.7], [0.4, 0.6])))
-        assert abs(diagonal_mi_variance(z).canonical) <= 1e-12
-
-    def test_brute_force_enumeration(self):
-        """Same quadratic forms, restricted to cells (i, i)."""
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            s = int(rng.integers(2, 5))
-            z = random_strict_zpmf(rng, s, s)
-            table = z.probs.reshape(s, s)
-            px, py = table.sum(axis=1), table.sum(axis=0)
-            pd = np.array([table[i, i] for i in range(s)])
-            bd = np.array([math.log(table[i, i] / (px[i] * py[i])) for i in range(s)])
-            expected = (pd * bd * bd).sum() - ((pd * bd).sum()) ** 2
-            np.testing.assert_allclose(
-                diagonal_mi_variance(z).canonical, expected, atol=1e-13
-            )
-
-    def test_requires_square(self):
-        z = ZPmf([0.2, 0.4, 0.1, 0.1, 0.1, 0.1], PairShape(2, 3))
-        with pytest.raises(ValueError, match="square"):
-            diagonal_mi_variance(z)
-
-
-class TestMarginalVariance:
-    def test_demo_table_row_one(self, demo_z):
-        pair = marginal_variance(demo_z, "x", 1)
-        np.testing.assert_allclose(pair.canonical, 0.24, rtol=1e-14)
-        np.testing.assert_allclose(pair.alternate, VX1_ALTERNATE, rtol=1e-13)
-
-    def test_canonical_is_binomial_variance(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            rows, cols = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            z = random_strict_zpmf(rng, rows, cols)
-            table = z.probs.reshape(rows, cols)
-            i = int(rng.integers(1, rows + 1))
-            j = int(rng.integers(1, cols + 1))
-            m_x = table[i - 1, :].sum()
-            m_y = table[:, j - 1].sum()
-            np.testing.assert_allclose(
-                marginal_variance(z, "x", i).canonical, m_x * (1 - m_x), atol=1e-13
-            )
-            np.testing.assert_allclose(
-                marginal_variance(z, "y", j).canonical, m_y * (1 - m_y), atol=1e-13
-            )
-
-    def test_degenerate_marginal_is_zero(self):
-        z = ZPmf([0.5, 0.5], PairShape(1, 2))
-        pair = marginal_variance(z, "x", 1)
-        assert abs(pair.canonical) <= 1e-15
-        assert abs(pair.alternate) <= 1e-15
-
-    def test_validation(self, demo_z):
-        with pytest.raises(ValueError, match="i = 3"):
-            marginal_variance(demo_z, "x", 3)
-        with pytest.raises(ValueError, match="j = 0"):
-            marginal_variance(demo_z, "y", 0)
-        with pytest.raises(ValueError, match="axis"):
-            marginal_variance(demo_z, "z", 1)
-
-
-class TestMultinomialCovariance:
-    def test_single_cell(self):
-        cov = multinomial_covariance(ZPmf([1.0], PairShape(1, 1)))
-        np.testing.assert_allclose(cov, [[0.0]], atol=1e-15)
-
-    def test_two_cells(self):
-        cov = multinomial_covariance(ZPmf([0.5, 0.5], PairShape(1, 2)))
-        np.testing.assert_allclose(cov, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-
-    def test_demo_table_structure(self, demo_z):
-        cov = multinomial_covariance(demo_z)
-        np.testing.assert_allclose(cov.diagonal(), [0.8, 0.6, 0.9, 0.7])
-        probs = demo_z.probs
-        for k in range(4):
-            for kp in range(4):
-                if k != kp:
-                    np.testing.assert_allclose(
-                        cov[k, kp], -math.sqrt(probs[k] * probs[kp])
-                    )
-        np.testing.assert_allclose(cov, cov.T)
-
-    def test_positive_semidefinite(self):
-        rng = np.random.default_rng(71)
-        for _ in range(30):
-            rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            z = random_strict_zpmf(rng, rows, cols)
-            eigs = np.linalg.eigvalsh(multinomial_covariance(z))
-            assert eigs.min() >= -1e-10
-
-    def test_rejects_zero_cells(self):
-        z = ZPmf([0.5, 0.5, 0.0, 0.0], PairShape(2, 2))
-        with pytest.raises(ValueError, match="strictly positive"):
-            multinomial_covariance(z)
 
 
 class TestRateConstant:

@@ -1,6 +1,8 @@
 """Tests for seeded sampling and the Monte Carlo studies."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from pairinfo import (
     EmpiricalPmf,
+    JointPmf,
     PairShape,
     RngSpec,
     ZPmf,
@@ -20,6 +23,7 @@ from pairinfo import (
     rejection_rate,
     sample_z,
     variance_check,
+    z_view,
 )
 from pairinfo import montecarlo
 
@@ -339,7 +343,9 @@ class TestIntegerCounts:
     }
 
     @pytest.mark.parametrize("study", list(STUDIES))
-    @pytest.mark.parametrize("kind", ["fraction", "integral float", "bool", "numpy bool"])
+    @pytest.mark.parametrize(
+        "kind", ["fraction", "integral float", "bool", "numpy bool", "string", "None"]
+    )
     def test_rejects_non_integers_before_drawing(self, demo_z, monkeypatch, study, kind):
         run, good, name = self.STUDIES[study]
         bad = {
@@ -347,10 +353,10 @@ class TestIntegerCounts:
             "integral float": float(good),
             "bool": True,
             "numpy bool": np.True_,
+            "string": str(good),
+            "None": None,
         }[kind]
         message = f"{name} must be an integer"
-        if study == "normality n" and "bool" in kind:
-            message = "n >= 1000"  # True is 1, below the study's minimum
         calls = []
         substream = RngSpec.substream
 
@@ -371,3 +377,173 @@ class TestIntegerCounts:
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
+
+
+def _in_thread(run, timeout=300):
+    """``run()`` in a thread of its own, which must end within ``timeout`` s."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = run()
+        except BaseException as exc:  # re-raised in the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "study did not finish; a draw thread is stuck"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _bits(value):
+    if isinstance(value, str):
+        return value
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+class TestDrawThreads:
+    """On a wide support the draws run on a thread pool: every result is
+    the serial one, bit for bit, and no thread outlives its study."""
+
+    @pytest.fixture
+    def wide(self):
+        table = np.random.default_rng(40).dirichlet(np.ones(50 * 50)).reshape(50, 50)
+        z = z_view(JointPmf(table))
+        assert np.count_nonzero(z.probs) >= montecarlo._POOL_MIN_CELLS
+        return z
+
+    @staticmethod
+    def _studies(z):
+        return {
+            "trace": lambda: convergence_trace(z, range(500, 10001, 500), "mi", RngSpec(3)),
+            "normality": lambda: normality_study(z, 2000, 100, "mi", RngSpec(3)),
+            "power": lambda: rejection_rate(z, 2000, 40, 0.05, RngSpec(3)),
+            "variance": lambda: variance_check(z, 2000, 40, "entropy", RngSpec(3)),
+        }
+
+    @staticmethod
+    def _force_threads(monkeypatch, threads):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: threads)
+
+    def test_results_do_not_depend_on_thread_count(self, wide, monkeypatch):
+        results = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            for threads in (1, 2, 5):  # 5 is more threads than most hosts have CPUs
+                self._force_threads(monkeypatch, threads)
+                results[threads] = {
+                    name: _in_thread(run) for name, run in self._studies(wide).items()
+                }
+        finally:
+            sys.setswitchinterval(switch)
+        for threads in (2, 5):
+            for name, serial in results[1].items():
+                pooled = results[threads][name]
+                assert [_bits(v) for v in _values(pooled)] == [
+                    _bits(v) for v in _values(serial)
+                ], (threads, name)
+
+    def test_draws_leave_the_callers_thread_only_on_a_wide_support(
+        self, wide, demo_z, monkeypatch
+    ):
+        drawn_on, keyed_on = set(), set()
+        started = []
+        substream = RngSpec.substream
+        start = threading.Thread.start
+
+        class Recording:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def multinomial(self, n, weights):
+                drawn_on.add(threading.get_ident())
+                return self.gen.multinomial(n, weights)
+
+        def counting_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        def recording(self, stream):
+            keyed_on.add(threading.get_ident())
+            return Recording(substream(self, stream))
+
+        monkeypatch.setattr(RngSpec, "substream", recording)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        caller = threading.get_ident()
+        for threads, z, pooled in [(2, demo_z, False), (1, wide, False), (2, wide, True)]:
+            self._force_threads(monkeypatch, threads)
+            drawn_on.clear()
+            started.clear()
+            variance_check(z, 2000, 20, "mi", RngSpec(0))
+            assert keyed_on == {caller}  # the tracer's spans stay on one thread
+            if pooled:
+                assert drawn_on and caller not in drawn_on
+                assert 1 <= len(started) <= threads
+            else:
+                assert drawn_on == {caller}
+                assert started == []
+
+    def test_draw_error_reraises_in_the_caller(self, wide, monkeypatch):
+        substream = RngSpec.substream
+
+        class Failing:
+            def multinomial(self, n, weights):
+                raise RuntimeError("draw failed")
+
+        def failing_from_3(self, stream):
+            return Failing() if stream >= 3 else substream(self, stream)
+
+        monkeypatch.setattr(RngSpec, "substream", failing_from_3)
+        self._force_threads(monkeypatch, 2)
+        baseline = threading.active_count()
+        for run in self._studies(wide).values():
+            with pytest.raises(RuntimeError, match="draw failed"):
+                _in_thread(run)
+            assert threading.active_count() == baseline
+
+    def test_abandoned_study_leaves_no_thread(self, wide, monkeypatch):
+        self._force_threads(monkeypatch, 2)
+        baseline = threading.active_count()
+        mi = montecarlo._MEASURES["mi"]
+        calls = []
+
+        def failing_midway(p):
+            calls.append(p)
+            if len(calls) == 20:
+                raise ValueError("measure failed")
+            return mi(p)
+
+        monkeypatch.setitem(montecarlo._MEASURES, "mi", failing_midway)
+        try:
+            normality_study(wide, 2000, 100, "mi", RngSpec(0))
+        except ValueError as exc:
+            # Checked while the traceback still holds the study's frames.
+            assert str(exc) == "measure failed"
+            assert threading.active_count() == baseline
+        else:
+            pytest.fail("the study did not raise")
+
+        empiricals = montecarlo._empiricals(wide, [2000] * 100, RngSpec(0))
+        next(empiricals)
+        assert threading.active_count() > baseline
+        empiricals.close()
+        assert threading.active_count() == baseline
+
+    def test_sizes_are_checked_before_any_draw(self, wide, monkeypatch):
+        calls = []
+        substream = RngSpec.substream
+
+        def counting(self, stream):
+            calls.append(stream)
+            return substream(self, stream)
+
+        monkeypatch.setattr(RngSpec, "substream", counting)
+        self._force_threads(monkeypatch, 2)
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            next(montecarlo._empiricals(wide, [1000] * 20 + [0], RngSpec(0)))
+        assert calls == []
