@@ -31,7 +31,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .measures import joint_entropy, mutual_information
+from .measures import _TINY, joint_entropy, mutual_information
 from .pmf import PmfLike, ZPmf, z_vector
 
 _STANDARD_NORMAL = NormalDist()
@@ -105,7 +105,8 @@ def _pointwise_mi(p: PmfLike) -> tuple[np.ndarray, np.ndarray]:
     """Flattened probabilities and per-cell log(p_ij / (p_i p_j)) weights."""
     probs = z_vector(p)
     table = probs.reshape(p.shape.rows, p.shape.cols)
-    denom = np.outer(table.sum(axis=1), table.sum(axis=0))
+    # The floor keeps a marginal product that underflows from dividing by 0.
+    denom = np.maximum(np.outer(table.sum(axis=1), table.sum(axis=0)), _TINY)
     weights = np.zeros_like(table)
     mask = table > 0
     weights[mask] = np.log(table[mask] / denom[mask])

@@ -107,6 +107,7 @@ def sample_z(p: ZPmf, n: int, rng: RngSpec, stream: int = 0) -> np.ndarray:
     Inverse-CDF lookup on the precomputed cumulative p.m.f.; zero cells
     have zero-width intervals and are never drawn.
     """
+    n = _integer(n, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     cum = np.cumsum(z_vector(p))

@@ -6,6 +6,7 @@ scipy.stats.entropy and scipy.special.rel_entr as independent oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pairinfo import (
     kl_divergence,
     marginal_x,
     marginal_y,
+    mi_variance,
     mutual_information,
     z_view,
 )
@@ -57,6 +59,19 @@ class TestEntropy:
             np.testing.assert_allclose(
                 entropy(probs), scipy.stats.entropy(probs), rtol=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "probs, match",
+        [
+            ([0.5, -0.5, 1.0], "negative"),
+            ([0.5, 0.5, math.nan], "non-finite"),
+            ([0.5, math.inf], "non-finite"),
+        ],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_rejects_bad_entries(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            entropy(probs)
 
 
 class TestJointEntropy:
@@ -104,6 +119,17 @@ class TestMutualInformation:
             z = random_zpmf(rng, int(rng.integers(2, 8)), int(rng.integers(2, 8)))
             assert mutual_information(z) >= -1e-12
 
+    def test_underflowing_marginal_product(self):
+        """p_3 * p_3 = 1e-400 underflows to 0 while the cell itself is positive."""
+        z = ZPmf(np.diag([0.5, 0.5, 1e-200]).ravel(), PairShape(3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mi = mutual_information(z)
+            variance = mi_variance(z)
+        np.testing.assert_allclose(mi, math.log(2.0), rtol=1e-15)
+        assert math.isfinite(variance.canonical)
+        assert math.isfinite(variance.alternate)
+
     def test_symmetric_in_the_coordinates(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -111,6 +137,61 @@ class TestMutualInformation:
             mi = mutual_information(z_view(JointPmf(table)))
             mi_t = mutual_information(z_view(JointPmf(table.T.copy())))
             np.testing.assert_allclose(mi, mi_t, atol=1e-13)
+
+
+def masked_entropy(probs):
+    """Reference: the sum over positive cells only."""
+    pos = probs[probs > 0]
+    return 0.0 - float((pos * np.log(pos)).sum())
+
+
+def masked_mutual_information(table):
+    """Reference: the sum over positive cells only, by boolean gathers."""
+    denom = np.outer(table.sum(axis=1), table.sum(axis=0))
+    mask = table > 0
+    return float((table[mask] * np.log(table[mask] / denom[mask])).sum())
+
+
+class TestMaskFreeKernels:
+    """The floored kernels against the masked formulas they replace."""
+
+    def assert_matches_reference(self, p):
+        probs = p.probs if isinstance(p, ZPmf) else p.freqs
+        table = probs.reshape(p.shape.rows, p.shape.cols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (joint_entropy(p), mutual_information(p))
+            want = (masked_entropy(probs), masked_mutual_information(table))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_random_tables_with_zero_cells_rows_and_columns(self):
+        rng = np.random.default_rng(31)
+        for i in range(200):
+            rows, cols = int(rng.integers(2, 13)), int(rng.integers(2, 13))
+            table = rng.dirichlet(np.ones(rows * cols)).reshape(rows, cols)
+            table[rng.random((rows, cols)) < 0.3] = 0.0
+            if i % 3 == 0:
+                table[rng.integers(rows), :] = 0.0
+            if i % 4 == 0:
+                table[:, rng.integers(cols)] = 0.0
+            if i % 10 == 0 or table.sum() == 0:
+                table[:] = 0.0
+                table[rng.integers(rows), rng.integers(cols)] = 1.0
+            p = ZPmf(table.ravel(), PairShape(rows, cols), renormalize=True)
+            if i % 2 == 1:
+                counts = rng.multinomial(int(rng.integers(1, 5000)), p.probs)
+                p = EmpiricalPmf(counts, p.shape)
+            self.assert_matches_reference(p)
+
+    def test_wide_empirical_table(self):
+        rng = np.random.default_rng(20000)
+        counts = rng.multinomial(20000, rng.dirichlet(np.ones(10**4)))
+        self.assert_matches_reference(EmpiricalPmf(counts, PairShape(100, 100)))
+
+    def test_subnormal_cells(self):
+        table = np.diag([0.25, 0.25, 0.5])
+        table[0, 1], table[1, 2], table[2, 0] = 5e-324, 1e-310, 3e-309
+        self.assert_matches_reference(ZPmf(table.ravel(), PairShape(3, 3)))
 
 
 class TestKlDivergence:

@@ -87,6 +87,11 @@ class TestSampleZ:
         with pytest.raises(ValueError, match="at least 1"):
             sample_z(demo_z, 0, RngSpec(0))
 
+    @pytest.mark.parametrize("n", ["5", 2.5, True])
+    def test_rejects_non_integer_size(self, demo_z, n):
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            sample_z(demo_z, n, RngSpec(0))
+
 
 class TestCountEngine:
     """Each replicate's counts are one multinomial draw on its own substream."""
