@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pmf import PmfLike, z_vector
+from .pmf import PmfLike, _validate_probs, z_vector
 
 # Floor of every log argument; see the module docstring.
 _TINY = np.finfo(float).tiny
@@ -34,15 +34,15 @@ def _entropy(probs: np.ndarray) -> float:
 def entropy(probs) -> float:
     """Shannon entropy -sum p log p in nats of a bare probability vector.
 
-    Raises ValueError on a negative or non-finite entry, which would
+    Raises ValueError on an empty vector, a negative or non-finite entry,
+    or a sum outside 1 +/- ``pmf.NORMALIZATION_TOL``, each of which would
     otherwise give a wrong number without complaint.
     """
-    arr = np.asarray(probs, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("probabilities contain non-finite entries")
-    if np.any(arr < 0):
-        raise ValueError("probabilities contain negative entries")
-    return _entropy(arr)
+    if np.size(probs) == 0:
+        raise ValueError("probability vector is empty")
+    return _entropy(
+        _validate_probs(probs, strict=False, renormalize=False, what="probability vector")
+    )
 
 
 def joint_entropy(p: PmfLike) -> float:

@@ -22,16 +22,20 @@ by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.
 
 Determinism contract: every replicate (a trace size counts as one) comes
 from :func:`_empiricals`, and replicate ``i`` draws only from substream
-``(master_seed, i)``.  On a wide support the draws run on one worker
-thread per available CPU, but each still uses its own substream and the
-replicates come back in index order, so results are byte-identical for a
-given seed and configuration whatever the number of threads, and a larger
-study extends a smaller one: its first replicates are the smaller
-study's, bit for bit.
+``(master_seed, i)``: PCG64 seeded through numpy's ``SeedSequence`` with
+the ``(i + 1)``-th SplitMix64 output of the master seed.  The seed words
+are derived 256 streams at a time in one vectorized pass, bit for bit as
+``np.random.PCG64(key)`` derives them one key at a time.  On a wide
+support the draws run on one worker thread per available CPU, but each
+still uses its own substream and the replicates come back in index order,
+so results are byte-identical for a given seed and configuration whatever
+the number of threads, and a larger study extends a smaller one: its
+first replicates are the smaller study's, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -58,17 +62,121 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _substream_key(master_seed: int, stream: int) -> int:
+def _substream_key(master_seed: int, stream):
     """SplitMix64 output number ``stream + 1`` for the given seed.
 
     SplitMix64 advances its state by a fixed increment, so the i-th output
     is a pure function of ``seed + i * increment``; that makes substream
-    derivation O(1) in the stream index.
+    derivation O(1) in the stream index.  ``stream`` may also be a uint64
+    array, whose arithmetic wraps modulo 2**64 just as the masks do, to get
+    the keys of many streams at once.
     """
     z = (master_seed + (stream + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+# numpy's SeedSequence hash and mix constants (pool of four 32-bit words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> list[tuple]:
+    """The (xor, multiply) uint32 pair of each step of a SeedSequence hash.
+
+    The running hash constant does not depend on the data, so its sequence
+    is computed once for every key.
+    """
+    pairs, const = [], init
+    for _ in range(steps):
+        following = const * mult & _MASK32
+        pairs.append((np.uint32(const), np.uint32(following)))
+        const = following
+    return pairs
+
+
+# 4 pool words + 4 * 3 cross mixes; 4 uint64 words = 8 uint32 outputs.
+_POOL_STEPS = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_STEPS = _hash_constants(_INIT_B, _MULT_B, 8)
+_SHIFT = np.uint32(16)
+# Streams whose seed words one vectorized pass derives.
+_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of streams ``block * 256`` to ``block * 256 + 255``.
+
+    Row ``j`` is ``SeedSequence(key).generate_state(4, np.uint64)`` for
+    the key of stream ``block * 256 + j``, bit for bit: numpy's algorithm
+    (hash the key's 32-bit words into a pool of four, mix every pool word
+    into every other, hash the pool out into eight 32-bit words) run on
+    all 256 keys at once.  A key below 2**32 has one 32-bit word, and
+    SeedSequence hashes a zero word for each missing one, so every key is
+    taken as two words.  uint32 arrays wrap on overflow, as the C code does.
+    """
+    streams = np.uint64(block * _BLOCK) + np.arange(_BLOCK, dtype=np.uint64)
+    keys = _substream_key(master_seed, streams)
+    steps = iter(_POOL_STEPS)
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _SHIFT)
+
+    low = (keys & _MASK32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, (keys >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+    # SeedSequence pairs its 32-bit words little-endian on every platform.
+    words = np.empty((_BLOCK, 4), dtype="<u8")
+    state = words.view("<u4")
+    for j, (xor, mult) in enumerate(_STATE_STEPS):
+        value = (pool[j % 4] ^ xor) * mult
+        state[:, j] = value ^ (value >> _SHIFT)
+    words = words.astype(np.uint64, copy=False)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _precomputed_seeds() -> type:
+    """The seed sequence class that hands PCG64 words derived in advance.
+
+    Defined on first use, so that importing pairinfo does not load
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _PrecomputedSeeds(ISeedSequence):
+        __qualname__ = "_PrecomputedSeeds"  # found by the module __getattr__
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"precomputed seeds hold 4 uint64 words, not {n_words} "
+                    f"of {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return _PrecomputedSeeds
+
+
+def __getattr__(name: str):
+    # Unpickling a substream's generator looks its seed class up here.
+    if name == "_PrecomputedSeeds":
+        return _precomputed_seeds()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _integer(value, name: str) -> int:
@@ -82,9 +190,12 @@ def _integer(value, name: str) -> int:
 class RngSpec:
     """Master seed plus the substream derivation rule.
 
-    Substream ``i`` feeds the ``(i + 1)``-th SplitMix64 output of the
-    master seed into a PCG64 generator.  Identical ``(master_seed, i)``
-    yields bit-identical draws on every platform.
+    Substream ``i`` (``0 <= i < 2**64``) is PCG64 seeded through numpy's
+    ``SeedSequence`` with the ``(i + 1)``-th SplitMix64 output of the
+    master seed.  Its seed words are derived 256 streams at a time by
+    :func:`_seed_block`, bit for bit as ``np.random.PCG64(key)`` would.
+    Identical ``(master_seed, i)`` yields bit-identical draws on every
+    platform.
     """
 
     master_seed: int = 0
@@ -94,11 +205,12 @@ class RngSpec:
         object.__setattr__(self, "master_seed", seed & _MASK64)
 
     def substream(self, stream: int) -> np.random.Generator:
-        if stream < 0:
-            raise ValueError(f"stream index must be >= 0, got {stream}")
-        return np.random.Generator(
-            np.random.PCG64(_substream_key(self.master_seed, stream))
-        )
+        stream = _integer(stream, "stream index")
+        if not 0 <= stream <= _MASK64:
+            raise ValueError(f"stream index must be in [0, 2**64), got {stream}")
+        block, row = divmod(stream, _BLOCK)
+        seeds = _precomputed_seeds()(_seed_block(self.master_seed, block)[row])
+        return np.random.Generator(np.random.PCG64(seeds))
 
 
 def sample_z(p: ZPmf, n: int, rng: RngSpec, stream: int = 0) -> np.ndarray:

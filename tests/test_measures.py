@@ -66,8 +66,11 @@ class TestEntropy:
             ([0.5, -0.5, 1.0], "negative"),
             ([0.5, 0.5, math.nan], "non-finite"),
             ([0.5, math.inf], "non-finite"),
+            ([], "empty"),
+            ([2.0], r"sums to 2\.0, outside 1 \+/- 1e-09"),
+            ([0.3, 0.3], r"sums to 0\.6, outside 1 \+/- 1e-09"),
         ],
-        ids=["negative", "nan", "inf"],
+        ids=["negative", "nan", "inf", "empty", "sum-above-1", "sum-below-1"],
     )
     def test_rejects_bad_entries(self, probs, match):
         with pytest.raises(ValueError, match=match):

@@ -1,6 +1,9 @@
 """Tests for seeded sampling and the Monte Carlo studies."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -56,6 +59,23 @@ class TestRngSpec:
             RngSpec(True)
         with pytest.raises(ValueError, match="stream"):
             RngSpec(0).substream(-1)
+
+    def test_numpy_stream_index_is_that_stream(self):
+        expected = RngSpec(0).substream(3).random(4)
+        np.testing.assert_array_equal(RngSpec(0).substream(np.int64(3)).random(4), expected)
+        np.testing.assert_array_equal(RngSpec(0).substream(np.uint64(3)).random(4), expected)
+
+    @pytest.mark.parametrize("stream", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_rejects_non_integer_stream_index(self, stream):
+        with pytest.raises(ValueError, match="stream index must be an integer"):
+            RngSpec(0).substream(stream)
+
+    def test_rejects_stream_index_beyond_64_bits(self, demo_z):
+        RngSpec(0).substream(2**64 - 1)
+        with pytest.raises(ValueError, match=r"stream index must be in \[0, 2\*\*64\)"):
+            RngSpec(0).substream(2**64)
+        with pytest.raises(ValueError, match="stream index"):
+            sample_z(demo_z, 10, RngSpec(0), stream=2**64)
 
 
 class TestSampleZ:
@@ -410,16 +430,17 @@ def _bits(value):
     return arr.dtype.str, arr.shape, arr.tobytes()
 
 
+@pytest.fixture
+def wide():
+    table = np.random.default_rng(40).dirichlet(np.ones(50 * 50)).reshape(50, 50)
+    z = z_view(JointPmf(table))
+    assert np.count_nonzero(z.probs) >= montecarlo._POOL_MIN_CELLS
+    return z
+
+
 class TestDrawThreads:
     """On a wide support the draws run on a thread pool: every result is
     the serial one, bit for bit, and no thread outlives its study."""
-
-    @pytest.fixture
-    def wide(self):
-        table = np.random.default_rng(40).dirichlet(np.ones(50 * 50)).reshape(50, 50)
-        z = z_view(JointPmf(table))
-        assert np.count_nonzero(z.probs) >= montecarlo._POOL_MIN_CELLS
-        return z
 
     @staticmethod
     def _studies(z):
@@ -552,3 +573,102 @@ class TestDrawThreads:
         with pytest.raises(ValueError, match="sample size must be at least 1"):
             next(montecarlo._empiricals(wide, [1000] * 20 + [0], RngSpec(0)))
         assert calls == []
+
+
+def _old_substream(self, stream):
+    """Substream ``stream`` as numpy seeds it from the key, one stream at a time."""
+    return np.random.Generator(
+        np.random.PCG64(montecarlo._substream_key(self.master_seed, stream))
+    )
+
+
+class TestSeedBlocks:
+    """Substream seeds derived 256 at a time are numpy's, bit for bit."""
+
+    def test_block_rows_match_seed_sequence(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        special = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        keys = np.concatenate([
+            np.array(special, dtype=np.uint64),
+            np.arange(1000, dtype=np.uint64),  # one 32-bit word
+            rng.integers(0, 2**32, 1000, dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, 40 * 256 - 2008, dtype=np.uint64, endpoint=True),
+        ])
+        monkeypatch.setattr(montecarlo, "_substream_key", lambda seed, streams: keys[streams])
+        got = np.concatenate(
+            [montecarlo._seed_block.__wrapped__(0, b) for b in range(keys.size // 256)]
+        )
+        expected = np.array(
+            [np.random.SeedSequence(int(k)).generate_state(4, np.uint64) for k in keys]
+        )
+        assert keys.size >= 10**4
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 123, 2**63, 2**64 - 1])
+    def test_substream_state_matches_seeding_from_the_key(self, seed):
+        rng = RngSpec(seed)
+        for stream in [*range(1101), 2**32, 2**64 - 1]:  # crosses block edges
+            assert rng.substream(stream).bit_generator.state == (
+                _old_substream(rng, stream).bit_generator.state
+            ), stream
+
+    def test_block_is_read_only(self):
+        block = montecarlo._seed_block(0, 0)
+        assert block.shape == (256, 4) and not block.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]
+    )
+    def test_precomputed_seeds_serve_only_pcg64(self, n_words, dtype):
+        seeds = RngSpec(0).substream(0).bit_generator.seed_seq
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seeds.generate_state(n_words, dtype)
+
+    def test_generator_survives_pickling_in_a_fresh_interpreter(self):
+        gen = RngSpec(9).substream(300)
+        expected = pickle.loads(pickle.dumps(gen)).random(3)
+        assert gen.random(3).tolist() == expected.tolist()
+        code = "import pickle, sys; print(pickle.loads(sys.stdin.buffer.read()).random(3).tolist())"
+        out = _fresh_python(code, input=pickle.dumps(RngSpec(9).substream(300)))
+        assert out == repr(expected.tolist())
+
+    def test_studies_match_seeding_from_the_key(self, demo_z, wide, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+
+        def studies(z, normality_replicates):
+            return {
+                "trace": convergence_trace(z, range(500, 10001, 500), "mi", RngSpec(3)),
+                "normality": normality_study(z, 2000, normality_replicates, "mi", RngSpec(3)),
+                "power": rejection_rate(z, 2000, 300, 0.05, RngSpec(3)),
+                "variance": variance_check(z, 2000, 300, "entropy", RngSpec(3)),
+            }
+
+        for z, replicates in [(demo_z, 600), (wide, 300)]:
+            fast = studies(z, replicates)
+            with monkeypatch.context() as old:
+                old.setattr(RngSpec, "substream", _old_substream)
+                slow = studies(z, replicates)
+            for name, result in fast.items():
+                assert [_bits(v) for v in _values(result)] == [
+                    _bits(v) for v in _values(slow[name])
+                ], (z.shape, name)
+
+
+def _fresh_python(code, input=None):
+    """Stdout of ``code`` run by a fresh interpreter that imports pairinfo from here."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=input, capture_output=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode().strip()
+
+
+def test_importing_the_cli_leaves_heavy_modules_unloaded():
+    """Set-up time stays lean: numpy.random, the draw pool's module and
+    scipy load only when a command needs them."""
+    heavy = ("numpy.random", "concurrent.futures", "scipy")
+    code = f"import sys, pairinfo, pairinfo.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    assert _fresh_python(code) == "[]"
