@@ -342,6 +342,12 @@ def parse_sizes(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+def _json_float(value: float):
+    """``value`` rounded to 9 significant digits, or ``None`` if not finite."""
+    # JSON has no NaN or infinity; strict parsers reject the bare tokens.
+    return float(format(value, ".9g")) if math.isfinite(value) else None
+
+
 def _jsonable(obj):
     """Plain JSON types with floats rounded to 9 significant digits and
     non-finite floats as ``None``."""
@@ -350,15 +356,16 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(val) for val in obj]
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            # Every element is a Python float: skip the type dispatch.
+            return [_json_float(val) for val in obj.tolist()]
         return [_jsonable(val) for val in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        # JSON has no NaN or infinity; strict parsers reject the bare tokens.
-        value = float(obj)
-        return float(format(value, ".9g")) if math.isfinite(value) else None
+        return _json_float(float(obj))
     return obj
 
 

@@ -15,22 +15,27 @@ Four studies, each driven by a true flattened p.m.f. and a seeded RNG:
 
 Every statistic here depends on a sample only through its cell counts,
 and the counts of ``n`` i.i.d. draws of Z follow Multinomial(n, p).  So
-the studies never draw raw outcomes: :func:`_empiricals` makes replicate
+the studies never draw raw outcomes: :func:`_count_blocks` makes replicate
 ``i``'s counts with one ``multinomial(n, p)`` call on the substream keyed
-by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.
-:func:`sample_z` stays public for callers that need raw outcomes.
+by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.  The counts
+come in blocks of consecutive replicates, one row each, and the studies
+run each measure's batch kernel of :mod:`pairinfo.measures` on a whole
+block at once.  :func:`sample_z` stays public for callers that need raw
+outcomes.
 
-Determinism contract: every replicate (a trace size counts as one) comes
-from :func:`_empiricals`, and replicate ``i`` draws only from substream
-``(master_seed, i)``: PCG64 seeded through numpy's ``SeedSequence`` with
-the ``(i + 1)``-th SplitMix64 output of the master seed.  The seed words
-are derived 256 streams at a time in one vectorized pass, bit for bit as
-``np.random.PCG64(key)`` derives them one key at a time.  On a wide
-support the draws run on one worker thread per available CPU, but each
-still uses its own substream and the replicates come back in index order,
-so results are byte-identical for a given seed and configuration whatever
-the number of threads, and a larger study extends a smaller one: its
-first replicates are the smaller study's, bit for bit.
+Determinism contract: every replicate (a trace size counts as one) is a
+row of a block of :func:`_count_blocks`, and replicate ``i`` draws only
+from substream ``(master_seed, i)``: PCG64 seeded through numpy's
+``SeedSequence`` with the ``(i + 1)``-th SplitMix64 output of the master
+seed.  The seed words are derived 256 streams at a time in one vectorized
+pass, bit for bit as ``np.random.PCG64(key)`` derives them one key at a
+time.  On a wide support the draws run on one worker thread per available
+CPU, but each still uses its own substream and the replicates come back in
+index order.  A row's statistic does not depend on the other rows of its
+block, so results are byte-identical for a given seed and configuration
+whatever the block size and the number of threads, and a larger study
+extends a smaller one: its first replicates are the smaller study's, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -47,9 +52,14 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import entropy_variance, mi_variance, normal_quantile
-from .inference import lrt_statistic, lrt_threshold
-from .measures import joint_entropy, mutual_information
-from .pmf import EmpiricalPmf, ZPmf, z_vector
+from .inference import lrt_threshold
+from .measures import (
+    entropy_rows,
+    joint_entropy,
+    mutual_information,
+    mutual_information_rows,
+)
+from .pmf import ZPmf, z_vector
 
 # Not called by the studies, but perfbench/tracing.py rebinds them here.
 from .inference import independence_test  # noqa: F401
@@ -265,40 +275,30 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[EmpiricalPmf]:
-    """Empirical p.m.f. of replicate ``i``: ``sizes[i]`` draws from substream ``i``.
+# Cells of one count block: a block holds max(1, _BLOCK_CELLS // k) rows,
+# so it and each kernel temporary take 128 KiB unless one row is larger.
+# A call costs about 19 us on any block, so small tables want many rows,
+# but wide rows want few (2-vCPU Xeon, per row): on a 2x2 table MI takes
+# 19 us in one-row blocks and 0.25 us in blocks of 1024 to 16384 rows; on
+# a 100x100 table entropy takes 54 us in one-row blocks and 104 us in
+# blocks of 4 to 64 rows, and MI 210 us and 220-290 us.
+_BLOCK_CELLS = 1 << 14
 
-    Replicate ``i``'s counts are one ``multinomial(sizes[i], p)`` draw from
-    substream ``(master_seed, i)``.  The draw runs over the support of
-    ``p`` only, renormalized to sum to 1: numpy's ``multinomial`` rejects
-    weights whose sum exceeds 1 by more than 1e-12 (a :class:`ZPmf` may be
-    off by 1e-9), and it gives its last cell whatever the others leave, so
-    a trailing zero cell could otherwise collect counts lost to rounding.
+
+def _draws(sizes: np.ndarray, weights: np.ndarray, rng: RngSpec) -> Iterator[np.ndarray]:
+    """Counts over the support of replicate ``i``: one multinomial draw from substream ``i``.
 
     With more than one CPU and a support of at least ``_POOL_MIN_CELLS``
     cells, the draws run on one worker thread per CPU (``multinomial``
     releases the GIL), at most two per thread in flight.  Everything else,
-    substream set-up included, stays on the caller's thread, and the
-    replicates are yielded in index order, so the results do not depend on
-    the number of threads.  Every size is checked before the first draw.
+    substream set-up included, stays on the caller's thread, and the draws
+    are yielded in index order, so they do not depend on the number of
+    threads.
     """
-    sizes = [_integer(n, "sample size") for n in sizes]
-    for n in sizes:
-        if n < 1:
-            raise ValueError(f"sample size must be at least 1, got {n}")
-    probs = z_vector(p)
-    support = np.flatnonzero(probs)
-    weights = probs[support] / probs[support].sum()
-
-    def empirical(drawn: np.ndarray) -> EmpiricalPmf:
-        counts = np.zeros(p.shape.size, dtype=np.int64)
-        counts[support] = drawn
-        return EmpiricalPmf(counts, p.shape)
-
     threads = _cpus()
-    if threads < 2 or support.size < _POOL_MIN_CELLS:
+    if threads < 2 or weights.size < _POOL_MIN_CELLS:
         for i, n in enumerate(sizes):
-            yield empirical(rng.substream(i).multinomial(n, weights))
+            yield rng.substream(i).multinomial(n, weights)
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -307,21 +307,64 @@ def _empiricals(p: ZPmf, sizes: Sequence[int], rng: RngSpec) -> Iterator[Empiric
         for i, n in enumerate(sizes):
             pending.append(pool.submit(rng.substream(i).multinomial, n, weights))
             if len(pending) == 2 * threads:
-                yield empirical(pending.popleft().result())
+                yield pending.popleft().result()
         while pending:
-            yield empirical(pending.popleft().result())
+            yield pending.popleft().result()
 
 
-def _replicates(
-    p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable
-) -> np.ndarray:
-    """``statistic`` of each replicate of :func:`_empiricals`, in index order.
+def _count_blocks(
+    p: ZPmf, sizes: Sequence[int], rng: RngSpec
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Count blocks of the replicates: replicate ``i`` draws ``sizes[i]`` outcomes.
 
-    The replicate stream is closed even when ``statistic`` raises, so a
-    study that fails midway leaves no draw thread behind.
+    Yields ``(counts, block_sizes)``: an int64 ``(m, k)`` block whose row
+    ``j`` holds the counts of the next replicate in index order, and the
+    int64 sample size of each row.  ``m`` is at most
+    ``max(1, _BLOCK_CELLS // k)``; the last block may be shorter.
+
+    Replicate ``i``'s counts are one ``multinomial(sizes[i], p)`` draw from
+    substream ``(master_seed, i)`` (see :func:`_draws`).  The draw runs over
+    the support of ``p`` only, renormalized to sum to 1: numpy's
+    ``multinomial`` rejects weights whose sum exceeds 1 by more than 1e-12
+    (a :class:`ZPmf` may be off by 1e-9), and it gives its last cell
+    whatever the others leave, so a trailing zero cell could otherwise
+    collect counts lost to rounding.  Every size is checked before the
+    first draw, and closing the generator stops the draws and their
+    threads.
     """
-    with closing(_empiricals(p, sizes, rng)) as empiricals:
-        return np.array([statistic(emp) for emp in empiricals])
+    sizes = np.array([_integer(n, "sample size") for n in sizes], dtype=np.int64)
+    bad = sizes[sizes < 1]
+    if bad.size:
+        raise ValueError(f"sample size must be at least 1, got {bad[0]}")
+    probs = z_vector(p)
+    support = np.flatnonzero(probs)
+    weights = probs[support] / probs[support].sum()
+    rows = max(1, _BLOCK_CELLS // probs.size)
+    with closing(_draws(sizes, weights, rng)) as draws:
+        for start in range(0, sizes.size, rows):
+            block_sizes = sizes[start : start + rows]
+            counts = np.zeros((block_sizes.size, probs.size), dtype=np.int64)
+            counts[:, support] = [next(draws) for _ in block_sizes]
+            yield counts, block_sizes
+
+
+def _measure_rows(measure: str, freqs: np.ndarray, p: ZPmf) -> np.ndarray:
+    """``measure`` of each row of a block of frequencies on ``p``'s shape."""
+    if measure == "entropy":
+        return entropy_rows(freqs)
+    return mutual_information_rows(freqs, p.shape)
+
+
+def _estimates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, measure: str) -> np.ndarray:
+    """Plug-in ``measure`` of each replicate of :func:`_count_blocks`, in index order.
+
+    The blocks are closed even when a kernel raises, so a study that fails
+    midway leaves no draw thread behind.
+    """
+    with closing(_count_blocks(p, sizes, rng)) as blocks:
+        return np.concatenate(
+            [_measure_rows(measure, counts / n[:, None], p) for counts, n in blocks]
+        )
 
 
 @dataclass(frozen=True)
@@ -351,9 +394,13 @@ def convergence_trace(
         raise ValueError("sizes must be strictly increasing")
     truth = fn(p)
     probs = z_vector(p)
-    estimates, a_zn = _replicates(
-        p, sizes, rng, lambda emp: (fn(emp), np.abs(emp.freqs - probs).max())
-    ).T
+    estimates, a_zn = [], []
+    with closing(_count_blocks(p, sizes, rng)) as blocks:
+        for counts, n in blocks:
+            freqs = counts / n[:, None]
+            estimates.append(_measure_rows(measure, freqs, p))
+            a_zn.append(np.abs(freqs - probs).max(axis=1))
+    estimates, a_zn = np.concatenate(estimates), np.concatenate(a_zn)
     abs_errors = np.abs(estimates - truth)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(a_zn > 0, abs_errors / a_zn, np.nan)
@@ -427,7 +474,7 @@ def normality_study(
             f"{canonical} for this p.m.f."
         )
     sigma = math.sqrt(canonical)
-    estimates = _replicates(p, [n] * replicates, rng, fn)
+    estimates = _estimates(p, [n] * replicates, rng, measure)
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
@@ -469,10 +516,9 @@ def rejection_rate(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     _, threshold = lrt_threshold(p.shape, alpha)
-    rejects = _replicates(
-        p, [n] * replicates, rng, lambda emp: lrt_statistic(emp) > threshold
-    )
-    return int(rejects.sum()) / replicates
+    mi = _estimates(p, [n] * replicates, rng, "mi")  # checks n
+    statistics = 2.0 * n * mi  # as lrt_statistic computes it
+    return int((statistics > threshold).sum()) / replicates
 
 
 class VarianceCheck(NamedTuple):
@@ -491,11 +537,11 @@ def variance_check(
     rng: RngSpec,
 ) -> VarianceCheck:
     """Monte Carlo variance next to the two closed forms; no verdict."""
-    fn = _measure_fn(measure)
+    _measure_fn(measure)  # an unknown measure fails before any draw
     replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
-    estimates = _replicates(p, [n] * replicates, rng, fn)
+    estimates = _estimates(p, [n] * replicates, rng, measure)
     canonical, alternate = _measure_variance(p, measure)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),

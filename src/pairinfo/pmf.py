@@ -41,7 +41,7 @@ def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
     ``OverflowError``; here they get a ``ValueError`` instead.
     """
     for v in arr.tolist():
-        if not isinstance(v, (int, np.integer)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{what} must be integers")
         if not _INT64_MIN <= v <= _INT64_MAX:
             raise ValueError(f"{what} must lie in the int64 range, got {v}")
@@ -144,6 +144,8 @@ class EmpiricalPmf:
                 f"counts must be a length-{shape.size} vector for shape "
                 f"{shape.rows}x{shape.cols}"
             )
+        if arr.dtype == np.bool_:
+            raise ValueError("counts must be integers, got booleans")
         if arr.dtype == object:
             arr = _from_objects(arr, "counts")
         if not np.issubdtype(arr.dtype, np.integer):

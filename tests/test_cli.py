@@ -600,6 +600,28 @@ class TestNonFiniteAndZero:
         assert ent["estimate"] == ent["ci_lower"] == ent["ci_upper"] == 0.0
 
 
+class TestJsonable:
+    """Float arrays take a fast path with the scalar rule's exact output."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_array_matches_elementwise_rule(self, dtype):
+        info = np.finfo(dtype)
+        scale = np.logspace(info.minexp * 0.3, info.maxexp * 0.3, 500, dtype=dtype)
+        values = np.random.default_rng(0).normal(size=500).astype(dtype) * scale
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, info.smallest_subnormal, info.max,
+                   1 / 3, 123456789.5]
+        arr = np.concatenate([values, np.array(special, dtype=dtype)])
+        got = cli._jsonable(arr)
+        expected = [cli._jsonable(v) for v in arr]  # numpy scalars, one at a time
+        assert json.dumps(got) == json.dumps(expected)
+        assert got[-9:-6] == [None, None, None]
+
+    def test_other_arrays_keep_their_types(self):
+        assert cli._jsonable(np.array([3, 4])) == [3, 4]
+        assert cli._jsonable(np.array([True, False])) == [True, False]
+        assert cli._jsonable(np.array([[0.5, np.nan]])) == [[0.5, None]]
+
+
 class TestCliDeterminism:
     def test_identical_config_gives_identical_bytes(self, counts_file, capsys):
         args = [

@@ -27,6 +27,7 @@ from pairinfo import (
     mutual_information,
     z_view,
 )
+from pairinfo.measures import entropy_rows, mutual_information_rows
 
 # Frozen oracle values for the working 2x2 table (0.2, 0.4, 0.1, 0.3).
 H_DEMO = 1.2798542258336675
@@ -195,6 +196,52 @@ class TestMaskFreeKernels:
         table = np.diag([0.25, 0.25, 0.5])
         table[0, 1], table[1, 2], table[2, 0] = 5e-324, 1e-310, 3e-309
         self.assert_matches_reference(ZPmf(table.ravel(), PairShape(3, 3)))
+
+
+def unbatched_mutual_information(table):
+    """Reference: the floored formula on one 2-D table, as it was before
+    the batch kernels."""
+    tiny = np.finfo(float).tiny
+    denom = np.outer(table.sum(axis=1), table.sum(axis=0))
+    ratio = table / np.maximum(denom, tiny)
+    return float((table * np.log(np.maximum(ratio, tiny))).sum())
+
+
+class TestBatchKernels:
+    """Each row of a block gets exactly the value its table gets alone."""
+
+    @staticmethod
+    def block(rng, rows, cols, m):
+        counts = np.array([
+            rng.multinomial(int(rng.integers(1, 10**6)), rng.dirichlet(np.ones(rows * cols)))
+            for _ in range(m)
+        ])
+        counts[rng.random(counts.shape) < 0.2] = 0
+        counts[:, 0] += counts.sum(axis=1) == 0  # no empty sample
+        return counts / counts.sum(axis=1)[:, None]
+
+    @pytest.mark.parametrize(
+        "rows, cols, m", [(2, 2, 1), (2, 2, 4096), (1, 5, 3), (7, 3, 50), (10, 10, 163), (100, 100, 2)]
+    )
+    def test_rows_equal_scalar_calls_bit_for_bit(self, rows, cols, m):
+        rng = np.random.default_rng(rows * 1000 + cols + m)
+        freqs = self.block(rng, rows, cols, m)
+        shape = PairShape(rows, cols)
+        h = entropy_rows(freqs)
+        mi = mutual_information_rows(freqs, shape)
+        assert h.shape == mi.shape == (m,)
+        for i, row in enumerate(freqs):
+            p = ZPmf(row, shape)
+            assert h[i] == joint_entropy(p) == entropy(row)
+            assert mi[i] == mutual_information(p)
+            assert mi[i] == unbatched_mutual_information(row.reshape(rows, cols))
+
+    def test_point_mass_rows_get_positive_zero(self):
+        freqs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        h = entropy_rows(freqs)
+        mi = mutual_information_rows(freqs, PairShape(2, 2))
+        assert not np.signbit(h).any() and (h == 0.0).all()
+        np.testing.assert_array_equal(mi, [0.0, 0.0])
 
 
 class TestKlDivergence:

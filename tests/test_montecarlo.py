@@ -1,6 +1,7 @@
 """Tests for seeded sampling and the Monte Carlo studies."""
 
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -21,6 +22,9 @@ from pairinfo import (
     convergence_trace,
     estimate_pmf,
     independence_test,
+    joint_entropy,
+    mutual_information,
+    normal_quantile,
     normality_study,
     rate_constant,
     rejection_rate,
@@ -29,6 +33,7 @@ from pairinfo import (
     z_view,
 )
 from pairinfo import montecarlo
+from pairinfo.inference import lrt_statistic, lrt_threshold
 
 # 3 sigma / sqrt(30000) error bounds from the canonical variances of the
 # working table, rounded up as stated with the convergence examples.
@@ -118,9 +123,11 @@ class TestCountEngine:
 
     def test_counts_follow_the_multinomial_law(self, demo_z):
         n, replicates, k = 1000, 400, demo_z.shape.size
-        empiricals = montecarlo._empiricals(demo_z, [n] * replicates, RngSpec(3))
-        counts = np.array([emp.counts for emp in empiricals])
-        assert (counts.sum(axis=1) == n).all()
+        blocks = list(montecarlo._count_blocks(demo_z, [n] * replicates, RngSpec(3)))
+        counts = np.concatenate([block for block, _ in blocks])
+        sizes = np.concatenate([block_sizes for _, block_sizes in blocks])
+        assert counts.shape == (replicates, k) and counts.dtype == np.int64
+        assert (sizes == n).all() and (counts.sum(axis=1) == n).all()
 
         def pearson(observed, expected):
             return float((((observed - expected) ** 2) / expected).sum())
@@ -149,12 +156,14 @@ class TestCountEngine:
         # 1e-12 that numpy's multinomial allows; the last cell is zero.
         z = ZPmf([0.3, 0.2 + 5e-10, 0.5, 0.0], PairShape(2, 2))
         seen = []
+        count_blocks = montecarlo._count_blocks
 
-        def recording(counts, shape):
-            seen.append(counts.copy())
-            return EmpiricalPmf(counts, shape)
+        def recording(*args):
+            for counts, sizes in count_blocks(*args):
+                seen.extend(counts.copy())
+                yield counts, sizes
 
-        monkeypatch.setattr(montecarlo, "EmpiricalPmf", recording)
+        monkeypatch.setattr(montecarlo, "_count_blocks", recording)
         convergence_trace(z, [10, 1000, 10**6], "mi", RngSpec(1))
         normality_study(z, 5000, 100, "entropy", RngSpec(1))
         rejection_rate(z, 5000, 100, 0.05, RngSpec(1))
@@ -280,8 +289,9 @@ class TestRejectionRate:
         z = ZPmf([0.24, 0.26, 0.26, 0.24], PairShape(2, 2))
         n, replicates, alpha = 500, 200, 0.3
         reference = sum(
-            independence_test(emp, alpha).reject
-            for emp in montecarlo._empiricals(z, [n] * replicates, RngSpec(8))
+            independence_test(EmpiricalPmf(row, z.shape), alpha).reject
+            for counts, _ in montecarlo._count_blocks(z, [n] * replicates, RngSpec(8))
+            for row in counts
         )
         rate = rejection_rate(z, n, replicates, alpha, RngSpec(8))
         assert 0 < reference < replicates
@@ -535,16 +545,16 @@ class TestDrawThreads:
     def test_abandoned_study_leaves_no_thread(self, wide, monkeypatch):
         self._force_threads(monkeypatch, 2)
         baseline = threading.active_count()
-        mi = montecarlo._MEASURES["mi"]
+        kernel = montecarlo.mutual_information_rows
         calls = []
 
-        def failing_midway(p):
-            calls.append(p)
-            if len(calls) == 20:
+        def failing_midway(freqs, shape):
+            calls.append(freqs.shape[0])
+            if len(calls) == 10:  # of 17 blocks of at most 6 rows
                 raise ValueError("measure failed")
-            return mi(p)
+            return kernel(freqs, shape)
 
-        monkeypatch.setitem(montecarlo._MEASURES, "mi", failing_midway)
+        monkeypatch.setattr(montecarlo, "mutual_information_rows", failing_midway)
         try:
             normality_study(wide, 2000, 100, "mi", RngSpec(0))
         except ValueError as exc:
@@ -554,10 +564,10 @@ class TestDrawThreads:
         else:
             pytest.fail("the study did not raise")
 
-        empiricals = montecarlo._empiricals(wide, [2000] * 100, RngSpec(0))
-        next(empiricals)
+        blocks = montecarlo._count_blocks(wide, [2000] * 100, RngSpec(0))
+        next(blocks)
         assert threading.active_count() > baseline
-        empiricals.close()
+        blocks.close()
         assert threading.active_count() == baseline
 
     def test_sizes_are_checked_before_any_draw(self, wide, monkeypatch):
@@ -571,7 +581,7 @@ class TestDrawThreads:
         monkeypatch.setattr(RngSpec, "substream", counting)
         self._force_threads(monkeypatch, 2)
         with pytest.raises(ValueError, match="sample size must be at least 1"):
-            next(montecarlo._empiricals(wide, [1000] * 20 + [0], RngSpec(0)))
+            next(montecarlo._count_blocks(wide, [1000] * 20 + [0], RngSpec(0)))
         assert calls == []
 
 
@@ -652,6 +662,176 @@ class TestSeedBlocks:
                 assert [_bits(v) for v in _values(result)] == [
                     _bits(v) for v in _values(slow[name])
                 ], (z.shape, name)
+
+
+def _per_replicate(p, sizes, seed):
+    """Each replicate as the studies saw it before count blocks: an
+    EmpiricalPmf of one multinomial draw over the support from substream i."""
+    support = np.flatnonzero(p.probs)
+    weights = p.probs[support] / p.probs[support].sum()
+    for i, n in enumerate(sizes):
+        counts = np.zeros(p.shape.size, dtype=np.int64)
+        counts[support] = RngSpec(seed).substream(i).multinomial(n, weights)
+        yield EmpiricalPmf(counts, p.shape)
+
+
+_SCALAR = {"entropy": joint_entropy, "mi": mutual_information}
+
+
+def _reference_trace(p, sizes, measure, seed):
+    fn = _SCALAR[measure]
+    truth = fn(p)
+    estimates, a_zn = np.array([
+        (fn(emp), np.abs(emp.freqs - p.probs).max())
+        for emp in _per_replicate(p, sizes, seed)
+    ]).T
+    abs_errors = np.abs(estimates - truth)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(a_zn > 0, abs_errors / a_zn, np.nan)
+    return montecarlo.ConvergenceTrace(
+        measure, truth, np.array(sizes, dtype=np.int64), estimates, abs_errors, a_zn, ratio
+    )
+
+
+def _reference_normality(p, n, replicates, measure, seed):
+    fn = _SCALAR[measure]
+    truth = fn(p)
+    sigma = math.sqrt(montecarlo._measure_variance(p, measure)[0])
+    estimates = np.array([fn(emp) for emp in _per_replicate(p, [n] * replicates, seed)])
+    t_values = math.sqrt(n) / sigma * (estimates - truth)
+    sorted_t = np.sort(t_values)
+    edges = np.linspace(-4.0, 4.0, 41)
+    counts, _ = np.histogram(np.clip(t_values, -4.0, 4.0), bins=edges)
+    qq = np.array([normal_quantile((i - 0.5) / replicates) for i in range(1, replicates + 1)])
+    return montecarlo.NormalityStudy(
+        measure, n, replicates, truth, sigma, t_values, float(t_values.mean()),
+        float(t_values.var(ddof=1)), montecarlo._ks_distance(sorted_t), edges, counts,
+        qq, sorted_t,
+    )
+
+
+def _reference_rejection_rate(p, n, replicates, alpha, seed):
+    _, threshold = lrt_threshold(p.shape, alpha)
+    emps = _per_replicate(p, [n] * replicates, seed)
+    return int(sum(lrt_statistic(emp) > threshold for emp in emps)) / replicates
+
+
+def _reference_variance(p, n, replicates, measure, seed):
+    fn = _SCALAR[measure]
+    estimates = np.array([fn(emp) for emp in _per_replicate(p, [n] * replicates, seed)])
+    canonical, alternate = montecarlo._measure_variance(p, measure)
+    return montecarlo.VarianceCheck(float(n * estimates.var(ddof=1)), canonical, alternate)
+
+
+@pytest.fixture
+def sparse_10x10():
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(100))
+    probs[rng.choice(100, 20, replace=False)] = 0.0
+    return ZPmf(probs / probs.sum(), PairShape(10, 10))
+
+
+def _assert_same_fields(got, expected):
+    assert type(got) is type(expected)
+    for a, b in zip(_values(got), _values(expected), strict=True):
+        if isinstance(a, str):
+            assert a == b
+        else:
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b, equal_nan=True), (a, b)
+
+
+class TestCountBlocks:
+    """Studies run batch kernels on blocks of counts: every field equals
+    what the per-replicate path (one EmpiricalPmf and one scalar measure
+    call per replicate, same substreams) gives, whatever the block size."""
+
+    # table fixture, seed, trace sizes, normality replicates, other
+    # replicates, and a power-study n at which both levels' rates lie
+    # strictly inside (0, 1), so that a statistic off by one ulp can show.
+    CASES = {
+        "2x2": ("demo_z", 3, range(1, 5001), 2000, 500, 200),  # trace: 2 blocks of <= 4096
+        "10x10 with zero cells": ("sparse_10x10", 4, range(100, 40001, 100), 1000, 300, 40),
+        "pooled 50x50": ("wide", 5, range(500, 10001, 500), 100, 60, 900),  # blocks of <= 6
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("measure", ["entropy", "mi"])
+    def test_studies_match_the_per_replicate_path(self, request, monkeypatch, case, measure):
+        fixture, seed, sizes, normality_replicates, replicates, _ = self.CASES[case]
+        z = request.getfixturevalue(fixture)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        rows = max(1, montecarlo._BLOCK_CELLS // z.shape.size)
+        assert len(sizes) > rows  # the trace spans more than one block
+        _assert_same_fields(
+            convergence_trace(z, sizes, measure, RngSpec(seed)),
+            _reference_trace(z, list(sizes), measure, seed),
+        )
+        _assert_same_fields(
+            normality_study(z, 2000, normality_replicates, measure, RngSpec(seed)),
+            _reference_normality(z, 2000, normality_replicates, measure, seed),
+        )
+        _assert_same_fields(
+            variance_check(z, 2000, replicates, measure, RngSpec(seed)),
+            _reference_variance(z, 2000, replicates, measure, seed),
+        )
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejection_rate_matches_the_per_replicate_path(self, request, monkeypatch, case):
+        fixture, seed, _, _, replicates, n = self.CASES[case]
+        z = request.getfixturevalue(fixture)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        for alpha in (0.05, 0.3):
+            expected = _reference_rejection_rate(z, n, replicates, alpha, seed)
+            assert 0 < expected < 1
+            assert rejection_rate(z, n, replicates, alpha, RngSpec(seed)) == expected
+
+    @pytest.mark.parametrize("cells", [1, 7, 2**20])
+    def test_results_do_not_depend_on_the_block_size(self, sparse_10x10, monkeypatch, cells):
+        z = sparse_10x10
+
+        def studies():
+            return [
+                convergence_trace(z, range(100, 30001, 100), "mi", RngSpec(4)),
+                normality_study(z, 2000, 300, "entropy", RngSpec(4)),
+                rejection_rate(z, 40, 300, 0.3, RngSpec(4)),  # 0.40
+                variance_check(z, 2000, 300, "mi", RngSpec(4)),
+            ]
+
+        expected = studies()
+        monkeypatch.setattr(montecarlo, "_BLOCK_CELLS", cells)
+        for got, want in zip(studies(), expected, strict=True):
+            if isinstance(want, float):
+                assert got == want
+            else:
+                _assert_same_fields(got, want)
+
+    def test_blocks_are_capped_by_cells(self, demo_z, wide):
+        for z, replicates, rows in [(demo_z, 5000, 4096), (wide, 20, 6)]:
+            sizes = list(range(1000, 1000 + replicates))
+            blocks = list(montecarlo._count_blocks(z, sizes, RngSpec(0)))
+            assert [len(counts) for counts, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1][0]) <= rows
+            for counts, block_sizes in blocks:
+                assert counts.dtype == block_sizes.dtype == np.int64
+                assert counts.shape == (block_sizes.size, z.shape.size)
+                np.testing.assert_array_equal(counts.sum(axis=1), block_sizes)
+            got = np.concatenate([block_sizes for _, block_sizes in blocks])
+            np.testing.assert_array_equal(got, sizes)
+
+    def test_pooled_study_memory_stays_small(self, monkeypatch):
+        # mc_wide's table size: k = 10^4 gives one-row blocks.
+        table = np.random.default_rng(41).dirichlet(np.ones(10**4)).reshape(100, 100)
+        z = z_view(JointPmf(table))
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        normality_study(z, 20000, 100, "mi", RngSpec(0))  # warm-up: imports, caches
+        tracemalloc.start()
+        try:
+            normality_study(z, 20000, 100, "mi", RngSpec(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _fresh_python(code, input=None):

@@ -104,6 +104,19 @@ class TestEmpiricalPmf:
         top = [2**61, 2**61, 2**61, 2**61 - 1]
         assert EmpiricalPmf(np.array(top), PairShape(2, 2)).n == 2**63 - 1
 
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([True, False, True, True]), [True, False, True, True]],
+        ids=["array", "list"],
+    )
+    def test_rejects_boolean_counts(self, counts):
+        with pytest.raises(ValueError, match="counts must be integers, got booleans"):
+            EmpiricalPmf(counts, PairShape(2, 2))
+
+    def test_rejects_booleans_among_python_ints(self):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            EmpiricalPmf([True, 2**70], PairShape(1, 2))
+
     def test_rejects_python_ints_beyond_int64(self):
         # numpy keeps ints beyond the uint64 range as an object array.
         for counts in ([2**70, 1], [-(2**70), 1]):
@@ -142,6 +155,8 @@ class TestEstimatePmf:
     def test_rejects_boolean_sample(self):
         with pytest.raises(ValueError, match="booleans"):
             estimate_pmf(np.array([True, True]), PairShape(2, 2))
+        with pytest.raises(ValueError, match="sample must be integers"):
+            estimate_pmf([True, 2**70], PairShape(2, 2))
 
     def test_out_of_range_names_position(self):
         with pytest.raises(ValueError, match=r"sample\[2\] = 5"):
