@@ -33,11 +33,10 @@ import json
 import logging
 import math
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -106,12 +105,28 @@ def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
         raise ValueError(f"line {lineno + 1}: {exc}") from None
 
 
-# Lines of a pairs file read at a time, and distinct lines the running tally
-# holds before it yields their cells and starts afresh.
+# Bytes of a pairs file read at a time, rows of a record walk turned into
+# cells at a time, and distinct lines the tally holds before it yields
+# their cells and starts afresh.
+_BLOCK_BYTES = 1 << 15
 _BLOCK_LINES = 4096
 _KNOWN_LINES = 1 << 16
-# The lines that csv reads as a record of no fields.
-_BLANK_LINES = ("\n", "\r\n", "\r")
+# The longest line, in bytes, that the known-line table holds, and the
+# most lines looked up one by one before the table is searched again.
+_WINDOW = 64
+_LOOKUP_LINES = 1024
+_BOM = b"\xef\xbb\xbf"
+# Odd multipliers of a line's hash, one per 8-byte word of its window; the
+# last also mixes the sum.
+_MULTIPLIERS = np.array(
+    [
+        0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
+        0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9,
+    ],
+    dtype=np.uint64,
+)
+# _TAIL_MASKS[k] keeps the first k bytes of a little-endian word.
+_TAIL_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _whole_records(head: list[str], lines: list[str]) -> list[list[str]] | None:
@@ -129,7 +144,7 @@ def _whole_records(head: list[str], lines: list[str]) -> list[list[str]] | None:
             return None
     except (csv.Error, StopIteration):
         return None
-    if any(len(row) != 2 for row in rows):
+    if not set(map(len, rows)) <= {2}:
         return None
     return rows
 
@@ -155,85 +170,322 @@ def _walked_cells(
         yield np.fromiter(xs, np.intp, len(xs)), np.fromiter(ys, np.intp, len(ys)), 1
 
 
-def _tallied_cells(tally: Counter, cells: dict[str, tuple[int, int]]):
-    """``(x indices, y indices, repeats)`` of the lines in ``tally``, each
-    line's cell looked up in ``cells``."""
-    xy = np.fromiter(
-        chain.from_iterable(map(cells.__getitem__, tally)), np.intp, 2 * len(tally)
-    ).reshape(-1, 2)
-    return xy[:, 0], xy[:, 1], np.fromiter(tally.values(), np.int64, len(tally))
+def _chunks(stream: BinaryIO):
+    """Yield ``(data, end)`` for each run of whole lines of ``stream``.
+
+    ``data[:end]`` is the run, read ``_BLOCK_BYTES`` at a time and cut
+    after its last newline, and ``data[end:]`` is the start of the next
+    line, which begins the next run.  Only the stream's last line may lack
+    a newline.  A byte order mark is dropped from the first bytes read.
+    """
+    data = stream.read(_BLOCK_BYTES).removeprefix(_BOM)
+    while data:
+        end = data.rfind(b"\n") + 1
+        if end:
+            yield data, end
+        carry = len(data) - end
+        # A line longer than a block doubles the next read.
+        data = data[end:] + stream.read(max(_BLOCK_BYTES, carry))
+        if len(data) == carry:  # the end of the stream
+            if carry:
+                yield data, carry
+            return
+
+
+def _lines(chunk: np.ndarray):
+    """The start of each line of ``chunk`` and its length without its
+    newline.  Only the last line may lack a newline."""
+    ends = np.flatnonzero(chunk == 10)
+    if chunk[-1] != 10:
+        ends = np.append(ends, chunk.size)
+    # Narrow positions halve the memory of a chunk's arrays.
+    ends = ends.astype(np.int32 if chunk.size < 1 << 31 else np.intp)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    return starts, np.subtract(ends, starts, out=ends)
+
+
+def _line_words(chunk: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The first ``_WINDOW`` bytes at most of each line of ``chunk``, as
+    rows of little-endian words, zero past the line's end."""
+    width = min(_WINDOW, -(-int(lengths.max(initial=1)) // 8) * 8)
+    padded = np.zeros(chunk.size + width, np.uint8)
+    padded[: chunk.size] = chunk
+    # The word that starts at each byte of the chunk.
+    at = np.ndarray((chunk.size + width - 7,), "<u8", padded, strides=(1,))
+    words = np.empty((width // 8, starts.size), np.uint64)
+    for j, word in enumerate(words):
+        # Fancy indexing reads the unaligned words in place, where take
+        # would first copy all of them.
+        word[:] = at[starts + 8 * j]
+        word &= _TAIL_MASKS.take(lengths - 8 * j, mode="clip")
+    return words
+
+
+def _hashes(words: np.ndarray) -> np.ndarray:
+    """A hash of each column of ``words``; zero rows below change none."""
+    hashes = words[0] * _MULTIPLIERS[0]
+    for j in range(1, len(words)):
+        hashes += words[j] * _MULTIPLIERS[j]
+    # Mix the high bits, which pick the slot, with the low ones.
+    hashes ^= hashes >> np.uint64(29)
+    hashes *= _MULTIPLIERS[-1]
+    return hashes
+
+
+def _slot_bits(lines: int) -> int:
+    """Bits of a slot in a table for ``lines`` lines, at least 8 slots each."""
+    return max(10, (8 * lines - 1).bit_length())
+
+
+class _KnownLines:
+    """Distinct lines, numbered from 1 in the order they are first met.
+
+    ``ids`` maps each line to its number.  Each line of at most
+    ``_WINDOW`` bytes also keeps its length and its words, and a table of
+    slots, at least 8 times as many as the lines, holds at the slot that a
+    hash of its words picks the id of one such line, or 0.  Id 0 is no
+    line: its length, -1, is that of none.
+    """
+
+    def __init__(self):
+        self.ids: dict[bytes, int] = {}
+        self.lengths = np.full(64, -1, np.int32)
+        self.words = np.zeros((1, 64), np.uint64)
+        self._slot(_slot_bits(0))
+
+    def _slot(self, bits: int):
+        """Empty the table and make it ``2**bits`` slots."""
+        self.slots = np.zeros(1 << bits, np.int32)
+        self.shift = np.uint64(64 - bits)
+
+    def find(self, chunk: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        """The id of each line of ``chunk`` that the table holds, and 0 for
+        the rest.
+
+        The hash only picks the slot: a line is found only if it has the
+        length and the words of the line whose id the slot, or else the
+        slot beside it, holds.
+        """
+        words = _line_words(chunk, starts, lengths)
+        ids = self.slots.take(self._slots(words), mode="wrap")
+        same = self._same(ids, words, lengths)
+        # A line is put beside its slot only when another line holds it.
+        other = np.flatnonzero((ids != 0) & ~same)
+        ids *= same
+        if other.size:
+            words = words[:, other]
+            beside = self.slots.take(self._slots(words) ^ 1, mode="wrap")
+            ids[other] = beside * self._same(beside, words, lengths[other])
+        return ids
+
+    def _slots(self, words: np.ndarray) -> np.ndarray:
+        """The slot that the hash of each column of ``words`` picks."""
+        hashes = _hashes(words)
+        hashes >>= self.shift
+        return hashes.view(np.int64)
+
+    def _same(self, ids: np.ndarray, words: np.ndarray, lengths: np.ndarray):
+        """Whether each line of ``ids`` has that length and those words.
+        Words past those kept are 0 in every line of a length kept."""
+        same = self.lengths.take(ids) == lengths
+        for kept, word in zip(self.words, words):
+            same &= kept.take(ids) == word
+        return same
+
+    def add(self, chunk: np.ndarray, starts: np.ndarray, lengths: np.ndarray, ids):
+        """Keep the new lines ``ids`` of ``chunk`` that fit the window, and
+        put each in its slot, or the slot beside it, if that is free."""
+        fits = lengths <= _WINDOW
+        if not fits.any():
+            return
+        ids, words = ids[fits], _line_words(chunk, starts[fits], lengths[fits])
+        count = len(self.ids)
+        size = self.lengths.size if count < self.lengths.size else 2 * (count + 1)
+        width = max(len(self.words), len(words))
+        if (width, size) != self.words.shape:
+            old = self.words
+            self.words = np.zeros((width, size), np.uint64)
+            self.words[: old.shape[0], : old.shape[1]] = old
+            grown = np.full(size - old.shape[1], -1, np.int32)
+            self.lengths = np.concatenate([self.lengths, grown])
+        self.lengths[ids] = lengths[fits]
+        for kept, word in zip(self.words, words):
+            kept[ids] = word
+        bits = _slot_bits(count)
+        if 1 << bits != self.slots.size:
+            self._slot(bits)
+            ids = np.flatnonzero(self.lengths >= 0)
+            words = self.words[:, ids]
+        # Where lines share a free slot, the first one met takes it.
+        ids, slots = ids[::-1], self._slots(words[:, ::-1])
+        for _ in range(2):
+            free = self.slots.take(slots, mode="wrap") == 0
+            np.put(self.slots, slots[free], ids[free], mode="wrap")
+            left = np.flatnonzero(self.slots.take(slots, mode="wrap") != ids)
+            ids, slots = ids[left], slots[left] ^ 1
+
+
+def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
+    """The ids of the lines ``data[start : start + length]``, looked up one
+    at a time in ``known.ids``.
+
+    These are the lines the table did not find: new lines, lines whose
+    slot holds another line, and lines longer than the window.  New lines
+    take the next ids in the order they are met.  Also returns where each
+    new line is first met, and its bytes.
+    """
+    ids = known.ids
+    count = len(ids)
+    found = np.array(
+        [
+            ids.setdefault(data[at : at + size], len(ids) + 1)
+            for at, size in zip(starts.tolist(), lengths.tolist())
+        ],
+        np.int32,
+    )
+    # Ids grow in the order lines are first met.
+    numbers, first = np.unique(found, return_index=True)
+    new = first[numbers > count]
+    met = list(islice(reversed(ids), len(ids) - count))[::-1]
+    return found, new, met
+
+
+def _texts(lines: list[bytes]) -> list[str] | None:
+    """Each of ``lines`` as text, or ``None`` if one holds a carriage return
+    before its last byte, where text mode would end a line that ``b"\\n"``
+    does not."""
+    joined = b"\n".join(lines) + b"\n"
+    if b"\r" in joined.replace(b"\r\n", b""):
+        return None
+    return joined.decode("utf-8").split("\n")[:-1]
+
+
+def _tallied_chunk(known: _KnownLines, data: bytes, end: int, head: int):
+    """The id in ``known`` of each line of ``data[:end]``, and the bytes of
+    its first ``head`` lines and then of each line met for the first time,
+    which ``known`` now holds too.
+
+    Blank lines and the ``head`` lines have id 0: the table, empty while
+    the head is read, holds neither, and they are not looked up.
+    """
+    chunk = np.frombuffer(data, np.uint8, end)
+    starts, lengths = _lines(chunk)
+    ids = known.find(chunk, starts, lengths)
+    listed = np.flatnonzero(ids == 0).astype(starts.dtype)
+    # Blank lines, b"\n" and b"\r\n", are not looked up, nor the head.
+    blank = lengths[listed] <= (chunk[starts[listed]] == 13)
+    listed = listed[~blank & (listed >= head)]
+    lines = [data[: lengths[0]]] if head else []
+    while listed.size:
+        part, listed = listed[:_LOOKUP_LINES], listed[_LOOKUP_LINES:]
+        found, first, met = _listed_ids(known, data, starts[part], lengths[part])
+        ids[part] = found
+        first = part[first]
+        known.add(chunk, starts[first], lengths[first], ids[first])
+        lines += met
+        if first.size and listed.size:
+            # The lines left may repeat those just met.
+            ids[listed] = known.find(chunk, starts[listed], lengths[listed])
+            listed = listed[ids[listed] == 0]
+    return ids, lines
+
+
+def _tallied_cells(tally: np.ndarray, xs: list[int], ys: list[int]):
+    """``(x indices, y indices, repeats)`` of the lines counted in
+    ``tally`` by id; the line of id ``i`` is in cell ``(xs[i], ys[i])``."""
+    return np.array(xs[1:], np.intp), np.array(ys[1:], np.intp), tally[1 : len(xs)]
 
 
 def _cell_batches(
-    stream: TextIO, header: bool, x_order: dict[str, int], y_order: dict[str, int]
+    stream: BinaryIO, header: bool, x_order: dict[str, int], y_order: dict[str, int]
 ):
     """Yield ``(x indices, y indices, repeats)`` for batches of lines.
 
-    One running tally counts every line of the stream, a block of lines at
-    a time, and only the lines it has not met before are parsed, each into
-    a cell.  The tallied cells are yielded at the end of the stream, or
-    once the tally holds over ``_KNOWN_LINES`` distinct lines, when it
-    starts afresh so that memory stays bounded.  From the first block past
-    the first where over a quarter of the lines are new, or that holds a
-    line that is neither blank nor one whole record of two fields, the
-    tally of the blocks before it is yielded and the rest of the file is
-    walked record by record with :func:`_rows`, which reads quoted fields
-    that span lines and raises the ``line N:`` errors.  New labels are
-    appended to ``x_order`` and ``y_order`` in first-appearance order.
+    The bytes of the stream are read a chunk of whole lines at a time, and
+    one running tally counts every line by its id in :class:`_KnownLines`.
+    In numpy, each line's first ``_WINDOW`` bytes are hashed to a slot of
+    the table, and the line counts as the line whose id the slot holds if
+    its length and bytes are the same.  The other lines are looked up one
+    by one with :func:`_listed_ids`, and only lines met for the first time
+    are decoded and parsed, each into a cell.  The tallied cells are
+    yielded at the end of the stream, or once the tally holds over
+    ``_KNOWN_LINES`` distinct lines, when it starts afresh so that memory
+    stays bounded.  From the first chunk past the first where over a
+    quarter of the lines are new, or that holds a line that is neither
+    blank nor one whole record of two fields, the tally of the chunks
+    before it is yielded and the rest of the stream is decoded and walked
+    record by record with :func:`_rows`, which reads quoted fields that
+    span lines and raises the ``line N:`` errors.  New labels are appended
+    to ``x_order`` and ``y_order`` in first-appearance order.
     """
-    tally: Counter[str] = Counter()
-    cells: dict[str, tuple[int, int]] = {}
+    known = _KnownLines()
+    xs, ys = [0], [0]  # the cell of each id, after a stand-in for id 0
+    tally = np.zeros(1, np.int64)
     read = 0  # lines read so far, each one whole record
-    while block := list(islice(stream, _BLOCK_LINES)):
-        head = block[:1] if header and not read else []
-        body = block[len(head) :]
-        before = len(tally)
-        tally.update(body)
-        for blank in _BLANK_LINES:
-            tally.pop(blank, None)
-        # Dicts keep insertion order, so the lines met for the first time
-        # are the last keys of the tally.
-        new = list(islice(reversed(tally), len(tally) - before))[::-1]
-        # Past the first block, parsing a quarter of the lines costs about as
+    for data, end in _chunks(stream):
+        head = 1 if header and not read else 0
+        ids, lines = _tallied_chunk(known, data, end, head)
+        rows = None
+        # Past the first chunk, parsing a quarter of the lines costs about as
         # much as walking them all.
-        rows = None if read and 4 * len(new) > len(block) else _whole_records(head, new)
+        if read and 4 * (len(lines) - head) > len(ids):
+            reason = "over a quarter of its lines are new"
+        else:
+            reason = "a line is not one whole record of two fields"
+            texts = _texts(lines) if lines else []
+            if texts is not None:
+                rows = _whole_records(texts[:head], texts[head:]) if texts else []
         if rows is None:
-            tally.subtract(body)
-            yield _tallied_cells(+tally, cells)
-            rest = chain(block, stream)
-            yield from _walked_cells(rest, header, read + 1, x_order, y_order)
+            log.info("walking records from line %d: %s", read + 1, reason)
+            yield _tallied_cells(tally, xs, ys)
+            # The chunk's lines, its last one read to its end, then the rest.
+            start = io.StringIO((data + stream.readline()).decode("utf-8"), newline="")
+            rest = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+            try:
+                records = chain(start, rest)
+                yield from _walked_cells(records, header, read + 1, x_order, y_order)
+            finally:
+                rest.detach()  # leave the stream open
             return
-        for line, (x, y) in zip(new, rows):
-            cells[line] = (
-                x_order.setdefault(x.strip(), len(x_order)),
-                y_order.setdefault(y.strip(), len(y_order)),
-            )
-        read += len(block)
-        if len(tally) > _KNOWN_LINES:
-            yield _tallied_cells(tally, cells)
-            tally.clear()
-            cells.clear()
-    yield _tallied_cells(tally, cells)
+        for x, y in rows:
+            xs.append(x_order.setdefault(x.strip(), len(x_order)))
+            ys.append(y_order.setdefault(y.strip(), len(y_order)))
+        counted = np.bincount(ids, minlength=len(xs))
+        counted[: tally.size] += tally
+        tally = counted
+        read += len(ids)
+        if len(known.ids) > _KNOWN_LINES:
+            yield _tallied_cells(tally, xs, ys)
+            known = _KnownLines()
+            xs, ys = [0], [0]
+            tally = np.zeros(1, np.int64)
+    yield _tallied_cells(tally, xs, ys)
 
 
 def parse_pairs_csv(
-    stream: TextIO, header: bool = False
+    stream: BinaryIO, header: bool = False
 ) -> tuple[LabeledAlphabets, np.ndarray]:
     """Read one observation per row (x label, y label) into cell counts.
 
-    Returns the alphabets in first-appearance order and an int64 vector of
-    ``rows * cols`` counts, where cell ``cols * x + y`` counts the rows with
-    x label index ``x`` and y label index ``y``.  Lines are read in blocks
-    into one running tally of distinct lines; while they mostly repeat
-    earlier lines, a line is parsed only when the tally first meets it, and
-    the counts reach the table when the stream ends or the tally, grown
-    past ``_KNOWN_LINES`` distinct lines, starts afresh.  From a block of
-    many new lines, or one holding a line that is not one whole record (a
-    quoted label that spans lines, a ragged row), the rest is read record
-    by record, with the same result and ``line N:`` errors.  No per-row
-    list is kept, so memory grows with the table, not the rows.  The
-    stream is read once, from its current position, and need not be
-    seekable.
+    ``stream`` is binary, holding UTF-8 text; a byte order mark at its
+    start is dropped.  Returns the alphabets in first-appearance order and
+    an int64 vector of ``rows * cols`` counts, where cell ``cols * x + y``
+    counts the rows with x label index ``x`` and y label index ``y``.
+    Bytes are read in chunks of whole lines, and a line that repeats one
+    met before is counted in numpy, through a table that matches the
+    line's first 64 bytes exactly; a line is decoded and parsed only when
+    it is first met, and the counts reach the table of cells when the
+    stream ends or the tally, grown past ``_KNOWN_LINES`` distinct lines,
+    starts afresh.  From a chunk of many new lines, or one holding a line
+    that is not one whole record (a quoted label that spans lines, a
+    ragged row, a carriage return inside a line), the rest is decoded and
+    read record by record, with the same result and ``line N:`` errors,
+    and one line on the ``pairinfo`` logger says where and why.  Invalid
+    UTF-8 raises ``UnicodeDecodeError``.  No per-row list is kept, so
+    memory grows with the table, not the rows.  The stream is read once,
+    from its current position, and need not be seekable.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
@@ -282,6 +534,9 @@ def parse_counts_csv(
     for lineno, row in _rows(stream, header, 3):
         x, y, raw = (field.strip() for field in row)
         try:
+            # int() also reads "1_0", "٣" and "１２" as 10, 3 and 12.
+            if not raw.isascii() or "_" in raw:
+                raise ValueError
             count = int(raw)
         except ValueError:
             raise ValueError(
@@ -418,12 +673,13 @@ def _normality_fields(study: NormalityStudy) -> tuple[dict, dict]:
 
 def _ingest(config: RunConfig) -> tuple[LabeledAlphabets, EmpiricalPmf]:
     path = Path(config.input)
-    # utf-8-sig drops the byte order mark that spreadsheet exports put first.
-    with path.open(newline="", encoding="utf-8-sig") as stream:
-        if config.format == "pairs":
+    if config.format == "pairs":
+        with path.open("rb") as stream:
             alphabets, counts = parse_pairs_csv(stream, header=config.header)
-            emp = EmpiricalPmf(counts, alphabets.shape)
-        else:
+        emp = EmpiricalPmf(counts, alphabets.shape)
+    else:
+        # utf-8-sig drops the byte order mark that spreadsheet exports put first.
+        with path.open(newline="", encoding="utf-8-sig") as stream:
             alphabets, emp = parse_counts_csv(stream, header=config.header)
     log.info(
         "ingested %s: %dx%d alphabet, n = %d",

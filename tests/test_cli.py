@@ -1,7 +1,9 @@
 """Tests for CSV ingestion, report serialization, and the CLI commands."""
 
+import functools
 import io
 import json
+import logging
 import os
 import threading
 import tracemalloc
@@ -11,7 +13,7 @@ import pytest
 
 from pairinfo import EmpiricalPmf, PairShape, cli
 from pairinfo.cli import (
-    _BLOCK_LINES,
+    _BLOCK_BYTES,
     _rows,
     main,
     parse_counts_csv,
@@ -40,18 +42,35 @@ RECORD_WALK_INPUTS = [
     'a,p\nb,"q',
 ]
 
-# Where an input sits: alone; among repeated lines; in the second block
-# of lines; across the edge between the first two blocks; and after a
-# block of new lines, which sends the parser to the record walk.
+# Where an input sits: alone; among repeated lines; in the second chunk of
+# bytes; from the first byte of the second chunk; with its first line cut
+# by the edge between the first two chunks; and after a chunk of new
+# lines, which sends the parser to the record walk.  "a,p\n" is 4 bytes.
 LAYOUTS = {
     "alone": "{}",
     "among_repeats": "a,p\n" * 20 + "{}" + "b,q\n" * 20,
-    "second_block": "a,p\n" * (_BLOCK_LINES + 100) + "{}",
-    "block_edge": "a,p\n" * (_BLOCK_LINES - 1) + "{}" + "a,q\n" * 5,
-    "after_new_lines": "a,p\n" * _BLOCK_LINES
-    + "".join(f"n{i},q\n" for i in range(_BLOCK_LINES))
+    "second_block": "a,p\n" * (_BLOCK_BYTES // 4 + 100) + "{}",
+    "block_edge": "a,p\n" * (_BLOCK_BYTES // 4) + "{}" + "a,q\n" * 5,
+    "chunk_edge": "a,p\n" * (_BLOCK_BYTES // 4 - 2) + "a , p\n" + "{}" + "a,q\n" * 5,
+    "after_new_lines": "a,p\n" * (_BLOCK_BYTES // 4)
+    + "".join(f"n{i:05d},q\n" for i in range(_BLOCK_BYTES // 9))
     + "{}",
 }
+
+# Lines the known-line table must tell apart exactly: either side of its
+# 64-byte window, alike but for their last byte or their length, with NUL
+# bytes in their labels, and \r\n and \n twins of one record.
+ADVERSE_LINES = [
+    *(f"{'a' * (size - 2)},{y}\n" for size in (63, 64, 65, 200) for y in "pq"),
+    *(f"{'b' * (size - 2)},p\r\n" for size in (63, 64, 65)),
+    "a\x00b,p\n", "a,p\x00\n", "a,p\x00\x00\n", "a,p\n", "a,p\r\n", "\x00,\x00\n",
+]
+
+
+def _adverse_text(lines: int) -> str:
+    """``lines`` lines drawn from ``ADVERSE_LINES`` with a fixed seed."""
+    picks = np.random.default_rng(7).integers(len(ADVERSE_LINES), size=lines)
+    return "".join(ADVERSE_LINES[i] for i in picks)
 
 
 class _Pipe(io.RawIOBase):
@@ -68,8 +87,7 @@ class _Pipe(io.RawIOBase):
 
 
 def _pipe(text):
-    raw = io.BufferedReader(_Pipe(text.encode()))
-    return io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    return io.BufferedReader(_Pipe(text.encode()))
 
 
 def _walk_records(stream, header):
@@ -94,9 +112,20 @@ def _outcome(parse, stream, header):
     return alphabets.x_labels, alphabets.y_labels, counts.tolist()
 
 
+@functools.lru_cache(maxsize=None)
+def _walked(text, header):
+    """The outcome of walking ``text`` in text mode, as the CLI read it."""
+    return _outcome(_walk_records, io.StringIO(text, newline=""), header)
+
+
+def _parsed(text, header=False):
+    """The outcome of parsing the UTF-8 bytes of ``text``."""
+    return _outcome(parse_pairs_csv, io.BytesIO(text.encode()), header)
+
+
 class TestParsePairsCsv:
     def test_first_appearance_order_and_encoding(self):
-        alphabets, counts = parse_pairs_csv(io.StringIO("a,p\na,q\nb,p\n"))
+        alphabets, counts = parse_pairs_csv(io.BytesIO(b"a,p\na,q\nb,p\n"))
         assert alphabets.x_labels == ("a", "b")
         assert alphabets.y_labels == ("p", "q")
         np.testing.assert_array_equal(counts, [1, 1, 1, 0])
@@ -104,41 +133,42 @@ class TestParsePairsCsv:
 
     def test_realizes_expected_frequencies(self):
         rows = ["x1,y1"] * 2 + ["x1,y2"] * 4 + ["x2,y1"] * 1 + ["x2,y2"] * 3
-        alphabets, counts = parse_pairs_csv(io.StringIO("\n".join(rows) + "\n"))
+        text = "\n".join(rows) + "\n"
+        alphabets, counts = parse_pairs_csv(io.BytesIO(text.encode()))
         emp = EmpiricalPmf(counts, alphabets.shape)
         np.testing.assert_allclose(emp.freqs, [0.2, 0.4, 0.1, 0.3])
 
     def test_ragged_row_reports_line_number(self):
         text = "a,p\n" * 6 + "a,p,extra\n"
         with pytest.raises(ValueError, match="line 7: expected 2 fields"):
-            parse_pairs_csv(io.StringIO(text))
+            parse_pairs_csv(io.BytesIO(text.encode()))
 
     def test_line_numbers_count_records(self):
         """A label spanning two lines is one record, so the ragged row on
         the third line is record 2."""
         text = '"multi\nline",p\na,p,extra\n'
         with pytest.raises(ValueError, match="line 2: expected 2 fields"):
-            parse_pairs_csv(io.StringIO(text))
+            parse_pairs_csv(io.BytesIO(text.encode()))
 
     def test_empty_file(self):
         with pytest.raises(ValueError, match="empty input"):
-            parse_pairs_csv(io.StringIO(""))
+            parse_pairs_csv(io.BytesIO(b""))
 
     def test_header_skipped_only_on_request(self):
-        text = "x,y\na,p\nb,q\n"
-        alphabets, counts = parse_pairs_csv(io.StringIO(text), header=True)
+        text = b"x,y\na,p\nb,q\n"
+        alphabets, counts = parse_pairs_csv(io.BytesIO(text), header=True)
         assert alphabets.x_labels == ("a", "b")
         assert counts.sum() == 2
         # without the flag the first row is data
-        alphabets2, counts2 = parse_pairs_csv(io.StringIO(text))
+        alphabets2, counts2 = parse_pairs_csv(io.BytesIO(text))
         assert alphabets2.x_labels == ("x", "a", "b")
 
     def test_blank_lines_are_ignored(self):
-        alphabets, counts = parse_pairs_csv(io.StringIO("a,p\n\nb,q\n\n"))
+        alphabets, counts = parse_pairs_csv(io.BytesIO(b"a,p\n\nb,q\n\n"))
         assert counts.sum() == 2
 
     def test_crlf_input(self):
-        alphabets, counts = parse_pairs_csv(io.StringIO("a,p\r\nb,q\r\n"))
+        alphabets, counts = parse_pairs_csv(io.BytesIO(b"a,p\r\nb,q\r\n"))
         assert alphabets.y_labels == ("p", "q")
 
     @pytest.mark.parametrize("header", [False, True])
@@ -147,9 +177,7 @@ class TestParsePairsCsv:
     def test_matches_record_walk(self, text, layout, header):
         """Tallying distinct lines gives what walking every record gives."""
         text = LAYOUTS[layout].format(text)
-        assert _outcome(
-            parse_pairs_csv, io.StringIO(text, newline=""), header
-        ) == _outcome(_walk_records, io.StringIO(text, newline=""), header)
+        assert _parsed(text, header) == _walked(text, header)
 
     @pytest.mark.parametrize("header", [False, True])
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -161,19 +189,25 @@ class TestParsePairsCsv:
 
     @pytest.mark.parametrize("known_lines", [cli._KNOWN_LINES, 2])
     def test_late_line_keeps_first_appearance_order(self, known_lines, monkeypatch):
-        """Lines first met after many blocks of repeats take the next label
+        """Lines first met after many chunks of repeats take the next label
         indices in the order they appear."""
         monkeypatch.setattr(cli, "_KNOWN_LINES", known_lines)
-        repeats = "a,p\nb,p\n" * (3 * _BLOCK_LINES)
+        repeats = "a,p\nb,p\n" * (3 * _BLOCK_BYTES // 8)
         text = repeats + "c,q\n" + repeats + "d,r\nb,s\ne,q\n" + repeats
-        outcome = _outcome(parse_pairs_csv, io.StringIO(text), False)
+        outcome = _parsed(text)
         assert outcome[:2] == (("a", "b", "c", "d", "e"), ("p", "q", "r", "s"))
-        assert outcome == _outcome(_walk_records, io.StringIO(text), False)
+        assert outcome == _walked(text, False)
 
-    @pytest.mark.parametrize("new_lines, walked", [(1024, False), (1025, True)])
-    def test_blank_lines_are_not_new(self, new_lines, walked, monkeypatch):
-        """Past the first block, a block walks once over a quarter of its
-        lines are new; its blank lines do not count towards that."""
+    @pytest.mark.parametrize("extra, walked", [(0, False), (1, True)])
+    def test_blank_lines_are_not_new(self, extra, walked, monkeypatch):
+        """Past the first chunk, a chunk walks once over a quarter of its
+        lines are new; its blank lines do not count towards that.
+
+        The second chunk is 3 blank lines in 4 bytes, ``new`` new lines of
+        8 bytes and repeats of 4 bytes: ``_BLOCK_BYTES / 4 + 2 - new``
+        lines in all, over 4 times ``new`` once 5 ``new`` exceeds
+        ``_BLOCK_BYTES / 4 + 2``.
+        """
         calls = []
 
         def walk(*args):
@@ -182,13 +216,13 @@ class TestParsePairsCsv:
 
         real_walk = cli._walked_cells
         monkeypatch.setattr(cli, "_walked_cells", walk)
-        second = ["\n", "\r\n", "\r"] + [f"n{i},q\n" for i in range(new_lines)]
-        second += ["a,p\n"] * (_BLOCK_LINES - len(second))
-        text = "a,p\n" * _BLOCK_LINES + "".join(second)
-        assert _outcome(parse_pairs_csv, io.StringIO(text, newline=""), False) == (
-            _outcome(_walk_records, io.StringIO(text, newline=""), False)
-        )
-        assert calls == ([_BLOCK_LINES + 1] if walked else [])
+        new_lines = (_BLOCK_BYTES // 4 + 2) // 5 + extra
+        second = "\n\n\r\n" + "".join(f"n{i:04d},q\n" for i in range(new_lines))
+        second += "a,p\n" * ((_BLOCK_BYTES - len(second)) // 4)
+        assert len(second) == _BLOCK_BYTES
+        text = "a,p\n" * (_BLOCK_BYTES // 4) + second
+        assert _parsed(text) == _walked(text, False)
+        assert calls == ([_BLOCK_BYTES // 4 + 1] if walked else [])
 
     @pytest.mark.parametrize(
         "text", ["a,p\n" * 20 + '"multi\nline",q\n', "a,p\n" * 20 + "a,q,r\n"]
@@ -197,13 +231,11 @@ class TestParsePairsCsv:
         """A pipe holding a label that spans lines, or a ragged row."""
         stream = _pipe(text)
         assert not stream.seekable()
-        assert _outcome(parse_pairs_csv, stream, False) == _outcome(
-            _walk_records, io.StringIO(text, newline=""), False
-        )
+        assert _outcome(parse_pairs_csv, stream, False) == _walked(text, False)
 
     @pytest.mark.parametrize("body", ["a,p\n" * 10, '"a\nb",p\n' + "a,p\n" * 9])
     def test_reads_from_current_position(self, body):
-        stream = io.StringIO("not,a,pair\n" + body, newline="")
+        stream = io.BytesIO(b"not,a,pair\n" + body.encode())
         stream.readline()
         alphabets, counts = parse_pairs_csv(stream)
         assert counts.sum() == 10
@@ -212,7 +244,7 @@ class TestParsePairsCsv:
     def test_memory_scales_with_cells_not_rows(self, first):
         """Neither the line tally nor the record walk, which a label spanning
         lines sends the parser to, keeps one entry per row."""
-        stream = io.StringIO(first + "a,q\nb,p\nb,q\n" * 33_333)
+        stream = io.BytesIO((first + "a,q\nb,p\nb,q\n" * 33_333).encode())
         tracemalloc.start()
         try:
             alphabets, counts = parse_pairs_csv(stream)
@@ -221,6 +253,132 @@ class TestParsePairsCsv:
             tracemalloc.stop()
         assert counts.sum() == 100_000
         assert peak < 1_000_000
+
+
+class TestKnownLineTable:
+    """Lines that repeat are counted through a hash table, and the hash
+    only picks a slot: every count must match the record walk's."""
+
+    @pytest.mark.parametrize("bits", [0, 1])
+    @pytest.mark.parametrize(
+        "text",
+        [_adverse_text(400)]
+        + [LAYOUTS["among_repeats"].format(t) for t in RECORD_WALK_INPUTS],
+    )
+    def test_every_line_collides(self, text, bits, monkeypatch):
+        """A table of one or two slots, so that known lines share them."""
+        monkeypatch.setattr(cli, "_slot_bits", lambda lines: bits)
+        for header in (False, True):
+            assert _parsed(text, header) == _walked(text, header)
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_lines_around_the_window(self, header):
+        """Lines either side of 64 bytes, NUL bytes and \\r\\n twins, in
+        chunks past the first."""
+        text = _adverse_text(3 * _BLOCK_BYTES // 40)
+        outcome = _parsed(text, header)
+        assert outcome == _walked(text, header)
+        assert "a" * 198 in outcome[0] and "a\x00b" in outcome[0]
+        assert ("p\x00" in outcome[1]) and ("\x00" in outcome[1])
+
+    @pytest.mark.parametrize("block_bytes", [7, 64])
+    @pytest.mark.parametrize("layout", ["alone", "among_repeats"])
+    @pytest.mark.parametrize("text", [_adverse_text(400), *RECORD_WALK_INPUTS])
+    def test_small_chunks(self, text, layout, block_bytes, monkeypatch):
+        """Chunks shorter than many lines, whose next read grows to hold
+        the line they cut."""
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        text = LAYOUTS[layout].format(text)
+        for header in (False, True):
+            assert _parsed(text, header) == _walked(text, header)
+
+    def test_repeated_lines_are_counted_in_numpy(self, monkeypatch):
+        """200k lines of at most 2700 distinct ones: nothing is walked, and
+        at most 5% of lines are looked up one by one."""
+        rng = np.random.default_rng(2024)
+        x = rng.choice(50, 200_000, p=rng.dirichlet(np.ones(50)))
+        y = rng.choice(54, 200_000, p=rng.dirichlet(np.ones(54)))
+        cell_lines = [f"x{i:02d},y{j:02d}\n" for i in range(50) for j in range(54)]
+        text = "".join(cell_lines[c] for c in (54 * x + y).tolist())
+        listed = []
+
+        def looked_up(known, data, starts, lengths):
+            listed.append(len(starts))
+            return real_listed(known, data, starts, lengths)
+
+        def walk(*args):
+            raise AssertionError("the record walk was not expected")
+
+        real_listed = cli._listed_ids
+        monkeypatch.setattr(cli, "_listed_ids", looked_up)
+        monkeypatch.setattr(cli, "_walked_cells", walk)
+        outcome = _parsed(text)
+        monkeypatch.undo()
+        assert outcome == _walked(text, False)
+        assert sum(listed) <= 0.05 * 200_000
+
+
+class TestPairsEncoding:
+    """Pairs input is read as bytes and decoded as UTF-8 line by line."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff,p\na,q\n",
+            b"a,p\n" * (_BLOCK_BYTES // 2 + 10) + b"b,\xe2\x82q\n" + b"a,p\n" * 10,
+            b'"multi\nline",p\n' + b"a,p\n" * (_BLOCK_BYTES // 4 + 10) + b"\xc3,q\n",
+        ],
+        ids=["first_line", "after_two_chunks", "walked_remainder"],
+    )
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "invalid.csv"
+        path.write_bytes(data)
+        assert main(["estimate", "--input", str(path), "--format", "pairs"]) == 2
+        assert "codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["é", "€", "𝄞"])
+    def test_label_across_chunk_edge(self, label):
+        """A 2-, 3- or 4-byte character whose bytes straddle the edge
+        between two chunks, first met and then repeated."""
+        line = "xyz" + label + ",q\n"
+        text = "a,p\n" * (_BLOCK_BYTES // 4 - 1) + line + "a,p\n" * 10 + line
+        assert len(text[: text.index(label)].encode()) == _BLOCK_BYTES - 1
+        outcome = _parsed(text)
+        assert outcome == _walked(text, False)
+        assert outcome[0] == ("a", "xyz" + label)
+
+    def test_byte_order_mark_only_at_start(self):
+        """The mark is dropped from the first bytes only; one met later
+        stays part of its label, as text mode keeps it."""
+        text = "﻿a,p\n﻿b,q\n"
+        assert _parsed(text) == _walked(text[1:], False)
+        assert _parsed(text)[0] == ("a", "﻿b")
+
+
+class TestWalkLog:
+    """Handing over to the record walk logs where and why, once."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "a,p\n" * 20 + '"multi\nline",q\n',
+                "walking records from line 1: "
+                "a line is not one whole record of two fields",
+            ),
+            (
+                LAYOUTS["after_new_lines"].format("a,p\n"),
+                f"walking records from line {_BLOCK_BYTES // 4 + 1}: "
+                "over a quarter of its lines are new",
+            ),
+            ("a,p\n" * 20 + "b,q\n" * 20, None),
+        ],
+        ids=["not_whole", "new_lines", "repeats"],
+    )
+    def test_walk_is_logged(self, caplog, text, message):
+        with caplog.at_level(logging.INFO, logger="pairinfo"):
+            parse_pairs_csv(io.BytesIO(text.encode()))
+        assert caplog.messages == ([message] if message else [])
 
 
 class TestParseCountsCsv:
@@ -245,6 +403,19 @@ class TestParseCountsCsv:
             parse_counts_csv(io.StringIO("x1,y1,2.5\n"))
         with pytest.raises(ValueError, match="nonnegative"):
             parse_counts_csv(io.StringIO("x1,y1,-2\n"))
+
+    @pytest.mark.parametrize("raw", ["1_0", "٣", "１２"])
+    def test_count_must_be_ascii_digits(self, raw):
+        """Python's int() reads these as 10, 3 and 12; a count may not."""
+        with pytest.raises(
+            ValueError, match=f"line 2: count must be an integer, got {raw!r}"
+        ):
+            parse_counts_csv(io.StringIO(f"x1,y1,1\nx1,y2,{raw}\n"))
+
+    @pytest.mark.parametrize("raw, count", [("+4", 4), (" 7 ", 7)])
+    def test_count_sign_and_spaces(self, raw, count):
+        _, emp = parse_counts_csv(io.StringIO(f"x1,y1,1\nx1,y2,{raw}\n"))
+        np.testing.assert_array_equal(emp.counts, [1, count])
 
     def test_all_zero_counts(self):
         with pytest.raises(ValueError, match="zero"):
