@@ -11,7 +11,6 @@ convergence and normality claims by simulation.
 
 from .asymptotics import (
     EstimateReport,
-    VariancePair,
     confidence_interval,
     entropy_variance,
     estimate_report,
@@ -75,7 +74,6 @@ __all__ = [
     "joint_entropy",
     "mutual_information",
     "kl_divergence",
-    "VariancePair",
     "EstimateReport",
     "entropy_variance",
     "mi_variance",

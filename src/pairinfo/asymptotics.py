@@ -3,20 +3,12 @@
 The plug-in entropy and mutual information are smooth functions of the
 empirical p.m.f., so the delta method gives each one a limiting normal law
 ``sqrt(n) * (estimate - truth) -> N(0, sigma^2)``.  For a statistic with
-per-cell weight ``c_k`` the variance has the quadratic form
+per-cell weight ``c_k`` the variance is the variance of ``c`` under ``p``,
 
-    canonical = sum_k p_k c_k^2 - (sum_k p_k c_k)^2.
+    sigma^2 = sum_k p_k c_k^2 - (sum_k p_k c_k)^2.
 
-An alternate closed form is also computed side by side.  It keeps the
-``p_k (1 - p_k)`` diagonal but weights each distinct ordered cross pair by
-``(p_k p_k')^{3/2}`` with a leading factor of 2:
-
-    alternate = sum_k p_k (1 - p_k) c_k^2
-                - 2 * sum_{k != k'} (p_k p_k')^{3/2} c_k c_k'.
-
-The two disagree in general.  Every variance function returns both values
-in a :class:`VariancePair` so simulation can adjudicate; the Monte Carlo
-harness pins its checks to ``canonical``.
+It is evaluated in a shifted, centered form (see :func:`_variance`), so it
+is never negative and is exactly 0 when ``c`` is constant on the support.
 
 Also here: the summability constant ``sum_k |1 + log p_k|`` that controls
 the estimator's convergence rate, normal-based confidence intervals, and
@@ -32,22 +24,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .measures import _TINY, joint_entropy, mutual_information
-from .pmf import PmfLike, ZPmf, z_vector
+from .pmf import PmfLike, z_vector
 
 _STANDARD_NORMAL = NormalDist()
-
-
-@dataclass(frozen=True)
-class VariancePair:
-    """Asymptotic variance computed two ways (both in nats squared)."""
-
-    canonical: float
-    alternate: float
-
-    @property
-    def discrepancy(self) -> float:
-        """Absolute gap between the two forms."""
-        return abs(self.canonical - self.alternate)
 
 
 @dataclass(frozen=True)
@@ -57,71 +36,52 @@ class EstimateReport:
     measure: str
     estimate: float
     n: int
-    variance: VariancePair
     std_error: float
     ci_lower: float
     ci_upper: float
     alpha: float
+    variance: float  # nats squared; last, as in the reports
 
 
-def _variance_pair(probs: np.ndarray, weights: np.ndarray) -> VariancePair:
-    """Both variance forms for weights ``c`` against probabilities ``p``.
+def _variance(probs: np.ndarray, weights: np.ndarray) -> float:
+    """``sum p c^2 - (sum p c)^2`` for weights ``c`` against probabilities ``p``.
 
-    Applied literally to whatever sub-vector the caller selects; no
-    normalization of ``probs`` is assumed.  Cells with ``p_k = 0`` drop
-    out of every sum (the 0 * log 0 convention), so callers may pass
-    weights that are only finite on the support.
+    Only the support counts (the 0 * log 0 convention); weights off it are
+    ignored.  With ``d = c - c[j]`` for the first support cell ``j`` and
+    ``m = sum p d``, the sum ``sum p (d - m)^2`` is never negative, and it
+    is exactly 0 when ``c`` is constant on the support, where the
+    uncentered form can round to -4e-16.
     """
-    mask = probs > 0
-    p = probs[mask]
-    c = weights[mask]
-    pc = p * c
-    canonical = float((pc * c).sum() - pc.sum() ** 2)
-    # (sum p^{3/2} c)^2 counts the diagonal once; remove it before doubling.
-    p32c = p**1.5 * c
-    cross = p32c.sum() ** 2 - (p**3 * c * c).sum()
-    alternate = float((p * (1 - p) * c * c).sum() - 2.0 * cross)
-    return VariancePair(canonical=canonical, alternate=alternate)
+    support = probs > 0
+    p, c = probs[support], weights[support]
+    d = c - c[0]
+    m = (p * d).sum()
+    return float((p * (d - m) ** 2).sum())
 
 
-def _log_weights(probs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(probs)
-    mask = probs > 0
-    out[mask] = 1.0 + np.log(probs[mask])
-    return out
-
-
-def entropy_variance(p: PmfLike) -> VariancePair:
+def entropy_variance(p: PmfLike) -> float:
     """Delta-method variance of the plug-in joint entropy.
 
-    ``canonical`` equals ``sum p (log p)^2 - H^2``; it is 0 exactly when
-    the distribution is uniform or degenerate.
+    Equals ``sum p (log p)^2 - H^2``; the gradient's constant and sign drop
+    out of a variance.  It is 0 exactly when the distribution is uniform
+    on its support, a point mass included.
     """
     probs = z_vector(p)
-    return _variance_pair(probs, _log_weights(probs))
+    return _variance(probs, np.log(np.maximum(probs, _TINY)))
 
 
-def _pointwise_mi(p: PmfLike) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened probabilities and per-cell log(p_ij / (p_i p_j)) weights."""
-    probs = z_vector(p)
-    table = probs.reshape(p.shape.rows, p.shape.cols)
-    # The floor keeps a marginal product that underflows from dividing by 0.
-    denom = np.maximum(np.outer(table.sum(axis=1), table.sum(axis=0)), _TINY)
-    weights = np.zeros_like(table)
-    mask = table > 0
-    weights[mask] = np.log(table[mask] / denom[mask])
-    return probs, weights.ravel()
-
-
-def mi_variance(p: PmfLike) -> VariancePair:
+def mi_variance(p: PmfLike) -> float:
     """Delta-method variance of the plug-in mutual information.
 
-    ``canonical`` equals ``sum p B^2 - MI^2`` where ``B`` is the pointwise
-    mutual information of each cell; it is 0 when the coordinates are
-    independent.
+    Equals ``sum p B^2 - MI^2`` where ``B = log(p_ij / (p_i p_j))`` is the
+    pointwise mutual information of each cell, floored as the measure's
+    kernel floors it; it is 0 when the coordinates are independent.
     """
-    probs, weights = _pointwise_mi(p)
-    return _variance_pair(probs, weights)
+    table = z_vector(p).reshape(p.shape.rows, p.shape.cols)
+    # The floor keeps a marginal product that underflows from dividing by 0.
+    denom = np.maximum(np.outer(table.sum(axis=1), table.sum(axis=0)), _TINY)
+    weights = np.log(np.maximum(table / denom, _TINY))
+    return _variance(table.ravel(), weights.ravel())
 
 
 def rate_constant(p: PmfLike) -> float:
@@ -186,21 +146,20 @@ def estimate_report(measure: str, emp, alpha: float = 0.05) -> EstimateReport:
             f"unknown measure {measure!r}; expected 'joint_entropy' or "
             f"'mutual_information'"
         )
-    lo, hi = confidence_interval(value, var.canonical, n, alpha)
+    lo, hi = confidence_interval(value, var, n, alpha)
     return EstimateReport(
         measure=measure,
         estimate=value,
         n=n,
-        variance=var,
-        std_error=math.sqrt(var.canonical / n),
+        std_error=math.sqrt(var / n),
         ci_lower=lo,
         ci_upper=hi,
         alpha=alpha,
+        variance=var,
     )
 
 
 __all__ = [
-    "VariancePair",
     "EstimateReport",
     "entropy_variance",
     "mi_variance",

@@ -56,7 +56,7 @@ from .pmf import estimate_pmf  # noqa: F401
 
 log = logging.getLogger("pairinfo")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)
 
@@ -659,7 +659,6 @@ def _csv_report(config: RunConfig, comments: list[str], columns: dict) -> str:
 def _estimate_dict(rep: EstimateReport) -> dict:
     out = asdict(rep)
     del out["measure"]
-    out["variance"] = {**out.pop("variance"), "discrepancy": rep.variance.discrepancy}
     return out
 
 

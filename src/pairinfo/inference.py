@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .asymptotics import normal_quantile
 from .encoding import PairShape
 from .measures import mutual_information
-from .pmf import EmpiricalPmf
+from .pmf import EmpiricalPmf, _integer
 
 _MAX_ITER = 500
 _EPS = 1e-16
@@ -140,8 +140,7 @@ def _gamma_q(a: float, x: float) -> float:
 
 
 def _validate_df(df: int) -> int:
-    if not isinstance(df, (int,)) or isinstance(df, bool):
-        raise ValueError(f"degrees of freedom must be an integer, got {df!r}")
+    df = _integer(df, "degrees of freedom")
     if df < 1:
         raise ValueError(f"degrees of freedom must be at least 1, got {df}")
     return df
@@ -149,7 +148,7 @@ def _validate_df(df: int) -> int:
 
 def chi_square_cdf(x: float, df: int) -> float:
     """Chi-square c.d.f. with ``df`` degrees of freedom at ``x >= 0``."""
-    _validate_df(df)
+    df = _validate_df(df)
     if not x >= 0:
         raise ValueError(f"chi-square c.d.f. argument must be >= 0, got {x}")
     if x == math.inf:
@@ -166,7 +165,7 @@ def chi_square_quantile(p: float, df: int) -> float:
     iterations on the log of the tail, safeguarded by a shrinking
     bisection bracket.
     """
-    _validate_df(df)
+    df = _validate_df(df)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
     a = df / 2.0

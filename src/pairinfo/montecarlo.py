@@ -11,7 +11,7 @@ Four studies, each driven by a true flattened p.m.f. and a seeded RNG:
 * :func:`rejection_rate` -- fraction of replicates where the independence
   test rejects (level under a product p.m.f., power otherwise).
 * :func:`variance_check` -- empirical variance of the sqrt(n)-scaled
-  estimator next to the two closed-form variances, with no verdict.
+  estimator next to the delta-method variance.
 
 Every statistic here depends on a sample only through its cell counts,
 and the counts of ``n`` i.i.d. draws of Z follow Multinomial(n, p).  So
@@ -59,7 +59,7 @@ from .measures import (
     mutual_information,
     mutual_information_rows,
 )
-from .pmf import ZPmf, z_vector
+from .pmf import ZPmf, _integer, z_vector
 
 # Not called by the studies, but perfbench/tracing.py rebinds them here.
 from .inference import independence_test  # noqa: F401
@@ -189,13 +189,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy ints pass, bools and the rest raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RngSpec:
     """Master seed plus the substream derivation rule.
@@ -253,9 +246,8 @@ def _measure_fn(measure: str) -> Callable:
         ) from None
 
 
-def _measure_variance(p: ZPmf, measure: str) -> tuple[float, float]:
-    pair = entropy_variance(p) if measure == "entropy" else mi_variance(p)
-    return pair.canonical, pair.alternate
+def _measure_variance(p: ZPmf, measure: str) -> float:
+    return entropy_variance(p) if measure == "entropy" else mi_variance(p)
 
 
 # Supports of at least this many cells draw on a thread pool; on smaller
@@ -420,7 +412,7 @@ class NormalityStudy:
     """Standardized replicate estimates against the standard normal law.
 
     ``t_values[i]`` is ``sqrt(n) (estimate_i - truth) / sigma`` with the
-    truth and canonical sigma taken from the TRUE p.m.f., isolating the
+    truth and delta-method sigma taken from the TRUE p.m.f., isolating the
     CLT claim from standard-error estimation.
     """
 
@@ -467,13 +459,13 @@ def normality_study(
             f"normality study needs at least 100 replicates, got {replicates}"
         )
     truth = fn(p)
-    canonical, _ = _measure_variance(p, measure)
-    if canonical <= 0:
+    sigma_sq = _measure_variance(p, measure)
+    if sigma_sq <= 0:
         raise ValueError(
-            f"degenerate CLT: canonical variance of {measure} is "
-            f"{canonical} for this p.m.f."
+            f"degenerate CLT: asymptotic variance of {measure} is "
+            f"{sigma_sq} for this p.m.f."
         )
-    sigma = math.sqrt(canonical)
+    sigma = math.sqrt(sigma_sq)
     estimates = _estimates(p, [n] * replicates, rng, measure)
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
@@ -522,11 +514,10 @@ def rejection_rate(
 
 
 class VarianceCheck(NamedTuple):
-    """Empirical variance of sqrt(n)-scaled estimates beside both formulas."""
+    """Empirical variance of sqrt(n)-scaled estimates beside the delta method's."""
 
     empirical: float
     canonical: float
-    alternate: float
 
 
 def variance_check(
@@ -536,17 +527,16 @@ def variance_check(
     measure: str,
     rng: RngSpec,
 ) -> VarianceCheck:
-    """Monte Carlo variance next to the two closed forms; no verdict."""
+    """Monte Carlo variance of the sqrt(n)-scaled estimator next to the
+    delta-method variance at the true p.m.f."""
     _measure_fn(measure)  # an unknown measure fails before any draw
     replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
     estimates = _estimates(p, [n] * replicates, rng, measure)
-    canonical, alternate = _measure_variance(p, measure)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),
-        canonical=canonical,
-        alternate=alternate,
+        canonical=_measure_variance(p, measure),
     )
 
 

@@ -33,16 +33,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy ints pass, bools and the rest raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
     """An object array of integers as int64, checked exactly.
 
     ``np.asarray`` keeps Python ints beyond the uint64 range as objects,
     which numpy ufuncs and int64 casts reject with ``TypeError`` or
-    ``OverflowError``; here they get a ``ValueError`` instead.
+    ``OverflowError``; here they get a ``ValueError`` instead.  ``what``
+    names one entry.
     """
     for v in arr.tolist():
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} must be integers")
+        v = _integer(v, what)
         if not _INT64_MIN <= v <= _INT64_MAX:
             raise ValueError(f"{what} must lie in the int64 range, got {v}")
     return arr.astype(np.int64)
@@ -147,7 +154,7 @@ class EmpiricalPmf:
         if arr.dtype == np.bool_:
             raise ValueError("counts must be integers, got booleans")
         if arr.dtype == object:
-            arr = _from_objects(arr, "counts")
+            arr = _from_objects(arr, "count")
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("counts must be finite")
@@ -244,7 +251,7 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
     if arr.dtype == np.bool_:
         raise ValueError("sample must contain integer outcome indices, got booleans")
     if arr.dtype == object:
-        arr = _from_objects(arr, "sample")
+        arr = _from_objects(arr, "outcome")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("sample must contain integer outcome indices")

@@ -121,6 +121,16 @@ class TestChiSquareCdf:
         with pytest.raises(ValueError, match="degrees of freedom"):
             chi_square_cdf(1.0, 0)
 
+    def test_df_takes_numpy_ints_but_not_bools_or_floats(self):
+        for df in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert chi_square_cdf(3.0, df) == chi_square_cdf(3.0, 2)
+            assert chi_square_quantile(0.9, df) == chi_square_quantile(0.9, 2)
+        for bad in (True, np.bool_(True), 2.0, "2"):
+            with pytest.raises(ValueError, match="degrees of freedom must be an integer"):
+                chi_square_cdf(3.0, bad)
+            with pytest.raises(ValueError, match="degrees of freedom must be an integer"):
+                chi_square_quantile(0.9, bad)
+
     def test_nonfinite_argument(self):
         with pytest.raises(ValueError, match="nan"):
             chi_square_cdf(math.nan, 3)

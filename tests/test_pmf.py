@@ -114,7 +114,7 @@ class TestEmpiricalPmf:
             EmpiricalPmf(counts, PairShape(2, 2))
 
     def test_rejects_booleans_among_python_ints(self):
-        with pytest.raises(ValueError, match="counts must be integers"):
+        with pytest.raises(ValueError, match="count must be an integer, got True"):
             EmpiricalPmf([True, 2**70], PairShape(1, 2))
 
     def test_rejects_python_ints_beyond_int64(self):
@@ -122,9 +122,9 @@ class TestEmpiricalPmf:
         for counts in ([2**70, 1], [-(2**70), 1]):
             with pytest.raises(ValueError, match=f"int64 range, got {counts[0]}"):
                 EmpiricalPmf(counts, PairShape(1, 2))
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="count must be an integer, got 1.5"):
             EmpiricalPmf([1.5, 2**70], PairShape(1, 2))
-        emp = EmpiricalPmf(np.array([2, 3], dtype=object), PairShape(1, 2))
+        emp = EmpiricalPmf(np.array([2, np.int32(3)], dtype=object), PairShape(1, 2))
         assert emp.counts.dtype == np.int64 and emp.n == 5
 
     def test_equality_by_counts_and_shape(self):
@@ -155,7 +155,7 @@ class TestEstimatePmf:
     def test_rejects_boolean_sample(self):
         with pytest.raises(ValueError, match="booleans"):
             estimate_pmf(np.array([True, True]), PairShape(2, 2))
-        with pytest.raises(ValueError, match="sample must be integers"):
+        with pytest.raises(ValueError, match="outcome must be an integer, got True"):
             estimate_pmf([True, 2**70], PairShape(2, 2))
 
     def test_out_of_range_names_position(self):
@@ -167,7 +167,7 @@ class TestEstimatePmf:
     def test_rejects_python_ints_beyond_int64(self):
         with pytest.raises(ValueError, match="int64 range, got 1180591620717411303424"):
             estimate_pmf([2**70, 1], PairShape(2, 2))
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="outcome must be an integer, got 1.5"):
             estimate_pmf(np.array([1.5, 2], dtype=object), PairShape(2, 2))
         emp = estimate_pmf(np.array([1, 4, 4], dtype=object), PairShape(2, 2))
         np.testing.assert_array_equal(emp.counts, [1, 0, 0, 2])
