@@ -108,45 +108,22 @@ def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
 # Bytes of a pairs file read at a time, rows of a record walk turned into
 # cells at a time, and distinct lines the tally holds before it yields
 # their cells and starts afresh.
-_BLOCK_BYTES = 1 << 15
+_BLOCK_BYTES = 1 << 16
 _BLOCK_LINES = 4096
 _KNOWN_LINES = 1 << 16
-# The longest line, in bytes, that the known-line table holds, and the
-# most lines looked up one by one before the table is searched again.
-_WINDOW = 64
+# The longest line, in bytes, that the known-line table holds (with its
+# newline, 8 words), and the most lines looked up one by one before the
+# table is searched again.
+_WINDOW = 63
 _LOOKUP_LINES = 1024
 _BOM = b"\xef\xbb\xbf"
-# Odd multipliers of a line's hash, one per 8-byte word of its window; the
-# last also mixes the sum.
-_MULTIPLIERS = np.array(
-    [
-        0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
-        0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9,
-    ],
-    dtype=np.uint64,
-)
+# Odd multipliers of a line's hash, one per 8-byte word of its key.
+_MULTIPLIERS = np.array([
+    0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
+    0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53, 0x94D049BB133111EB, 0xBF58476D1CE4E5B9,
+], np.uint64)
 # _TAIL_MASKS[k] keeps the first k bytes of a little-endian word.
 _TAIL_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-
-
-def _whole_records(head: list[str], lines: list[str]) -> list[list[str]] | None:
-    """The row of each of ``lines``, read after the header lines ``head``.
-
-    Returns ``None`` unless every line is one whole record, of 2 fields
-    for each of ``lines``.
-    """
-    records = csv.reader([*head, *lines, "\n"])
-    try:
-        rows = list(islice(records, len(head) + len(lines)))[len(head) :]
-        # A quote left open swallows the trailing blank line, so the records
-        # run out early; otherwise that blank line is the one record left.
-        if next(records) or next(records, None) is not None:
-            return None
-    except (csv.Error, StopIteration):
-        return None
-    if not set(map(len, rows)) <= {2}:
-        return None
-    return rows
 
 
 def _walked_cells(
@@ -171,170 +148,176 @@ def _walked_cells(
 
 
 def _chunks(stream: BinaryIO):
-    """Yield ``(data, end)`` for each run of whole lines of ``stream``.
+    """Yield ``(buffer, end, size)`` for each run of whole lines of ``stream``.
 
-    ``data[:end]`` is the run, read ``_BLOCK_BYTES`` at a time and cut
-    after its last newline, and ``data[end:]`` is the start of the next
-    line, which begins the next run.  Only the stream's last line may lack
-    a newline.  A byte order mark is dropped from the first bytes read.
+    ``buffer[:end]`` is the run, read ``_BLOCK_BYTES`` at a time into one
+    reused buffer and cut after its last newline, and ``buffer[end:size]``
+    is the start of the next line, which begins the next run.  Only the
+    stream's last line may lack a newline; one is then put after it, at
+    ``buffer[size]``, and ``end`` counts it.  Over 64 bytes of the buffer
+    follow ``end``, for the words :func:`_keys` reads past a line's end.
+    A byte order mark is dropped from the first bytes read.
     """
-    data = stream.read(_BLOCK_BYTES).removeprefix(_BOM)
-    while data:
-        end = data.rfind(b"\n") + 1
+    buffer = bytearray(stream.read(_BLOCK_BYTES).removeprefix(_BOM))
+    size = len(buffer)
+    buffer += bytes(_BLOCK_BYTES + 2 * _WINDOW - size)
+    while size:
+        end = buffer.rfind(b"\n", 0, size) + 1
         if end:
-            yield data, end
-        carry = len(data) - end
+            yield buffer, end, size
+        carry = size - end
         # A line longer than a block doubles the next read.
-        data = data[end:] + stream.read(max(_BLOCK_BYTES, carry))
-        if len(data) == carry:  # the end of the stream
+        more = max(_BLOCK_BYTES, carry)
+        buffer[:carry] = buffer[end:size]
+        if carry + more + 2 * _WINDOW > len(buffer):
+            buffer = buffer[:carry] + bytes(more + 2 * _WINDOW)
+        size = carry + stream.readinto(memoryview(buffer)[carry : carry + more])
+        if size == carry:  # the end of the stream
             if carry:
-                yield data, carry
+                buffer[carry] = 10
+                yield buffer, carry + 1, carry
             return
 
 
 def _lines(chunk: np.ndarray):
-    """The start of each line of ``chunk`` and its length without its
-    newline.  Only the last line may lack a newline."""
-    ends = np.flatnonzero(chunk == 10)
-    if chunk[-1] != 10:
-        ends = np.append(ends, chunk.size)
+    """The start of each line of ``chunk``, whose last byte is a newline,
+    and its length without its newline."""
     # Narrow positions halve the memory of a chunk's arrays.
-    ends = ends.astype(np.int32 if chunk.size < 1 << 31 else np.intp)
+    ends = np.flatnonzero(chunk == 10).astype(np.int32 if chunk.size < 1 << 31 else np.intp)
     starts = np.empty_like(ends)
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
     return starts, np.subtract(ends, starts, out=ends)
 
 
-def _line_words(chunk: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """The first ``_WINDOW`` bytes at most of each line of ``chunk``, as
-    rows of little-endian words, zero past the line's end."""
-    width = min(_WINDOW, -(-int(lengths.max(initial=1)) // 8) * 8)
-    padded = np.zeros(chunk.size + width, np.uint8)
-    padded[: chunk.size] = chunk
-    # The word that starts at each byte of the chunk.
-    at = np.ndarray((chunk.size + width - 7,), "<u8", padded, strides=(1,))
-    words = np.empty((width // 8, starts.size), np.uint64)
-    for j, word in enumerate(words):
-        # Fancy indexing reads the unaligned words in place, where take
-        # would first copy all of them.
-        word[:] = at[starts + 8 * j]
-        word &= _TAIL_MASKS.take(lengths - 8 * j, mode="clip")
-    return words
+def _keys(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list:
+    """The key of each line of ``view``: its bytes and its newline, or the
+    first 64 of them, as rows of little-endian words, zero past the newline.
 
-
-def _hashes(words: np.ndarray) -> np.ndarray:
-    """A hash of each column of ``words``; zero rows below change none."""
-    hashes = words[0] * _MULTIPLIERS[0]
-    for j in range(1, len(words)):
-        hashes += words[j] * _MULTIPLIERS[j]
-    # Mix the high bits, which pick the slot, with the low ones.
-    hashes ^= hashes >> np.uint64(29)
-    hashes *= _MULTIPLIERS[-1]
-    return hashes
+    The first row is multiplied by an odd constant, a one-to-one map, so a
+    one-word key is its own hash.  Words are read in place, past the line's
+    end too, so ``view`` must hold 64 bytes more than its last line.
+    """
+    width = min(8, int(lengths.max()) // 8 + 1)
+    shortest = int(lengths.min()) + 1
+    # The word that starts at each byte of the view.
+    at = np.ndarray((view.size - 7,), "<u8", view, strides=(1,))
+    rows = [at[starts]] + [at[starts + 8 * j] for j in range(1, width)]
+    for j, row in enumerate(rows):
+        if 8 * (j + 1) > shortest:  # a key ends in this word
+            row &= _TAIL_MASKS.take(lengths + (1 - 8 * j), mode="clip")
+    rows[0] *= _MULTIPLIERS[0]
+    return rows
 
 
 def _slot_bits(lines: int) -> int:
-    """Bits of a slot in a table for ``lines`` lines, at least 8 slots each."""
-    return max(10, (8 * lines - 1).bit_length())
+    """Bits of a slot in a table for ``lines`` lines, at least 4 slots each."""
+    return max(10, (4 * lines - 1).bit_length())
 
 
 class _KnownLines:
     """Distinct lines, numbered from 1 in the order they are first met.
 
     ``ids`` maps each line to its number.  Each line of at most
-    ``_WINDOW`` bytes also keeps its length and its words, and a table of
-    slots, at least 8 times as many as the lines, holds at the slot that a
-    hash of its words picks the id of one such line, or 0.  Id 0 is no
-    line: its length, -1, is that of none.
+    ``_WINDOW`` bytes also keeps its key (:func:`_keys`), and a table of
+    slots, at least 4 times as many as the lines, holds its id: a hash of
+    the key picks a slot ``h``, and the line takes the first free one of
+    ``h``, ``h ^ 1``, ..., ``h ^ reach``, where ``reach`` is the farthest
+    any line went.  Slots are emptied only when the table grows, and then
+    every line takes one again, so each line has one while any is free.
+    Id 0 is no line: its key, 8 newlines, is that of none.
     """
 
     def __init__(self):
         self.ids: dict[bytes, int] = {}
-        self.lengths = np.full(64, -1, np.int32)
         self.words = np.zeros((1, 64), np.uint64)
+        self.words[0, 0] = 0x0A0A0A0A0A0A0A0A * int(_MULTIPLIERS[0]) % (1 << 64)
         self._slot(_slot_bits(0))
 
     def _slot(self, bits: int):
         """Empty the table and make it ``2**bits`` slots."""
         self.slots = np.zeros(1 << bits, np.int32)
         self.shift = np.uint64(64 - bits)
+        self.reach = 0
 
-    def find(self, chunk: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-        """The id of each line of ``chunk`` that the table holds, and 0 for
-        the rest.
+    def find(self, view: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        """The id of each line of ``view`` that the table holds, or 0, and
+        the index of each line of id 0.  The hash only picks the slots
+        searched: a line is found only if one holds the id of its key."""
+        rows = _keys(view, starts, lengths)
+        ids = self._slots(rows)
+        # Ids as intp, which every later take and count needs.
+        ids[...] = self.slots.take(ids)
+        missing = np.flatnonzero(~self._same(ids, rows))
+        ids[missing] = 0
+        # A line whose slot holds another line may be in the slots after it.
+        if missing.size and self.reach:
+            rows = [row[missing] for row in rows]
+            steps = np.arange(1, self.reach + 1)[:, None]
+            held = self.slots.take(self._slots(rows) ^ steps)
+            # Each line is in one slot at most.
+            found = (held * self._same(held, rows)).sum(axis=0)
+            ids[missing] = found
+            missing = missing[found == 0]
+        return ids, missing.astype(starts.dtype)
 
-        The hash only picks the slot: a line is found only if it has the
-        length and the words of the line whose id the slot, or else the
-        slot beside it, holds.
-        """
-        words = _line_words(chunk, starts, lengths)
-        ids = self.slots.take(self._slots(words), mode="wrap")
-        same = self._same(ids, words, lengths)
-        # A line is put beside its slot only when another line holds it.
-        other = np.flatnonzero((ids != 0) & ~same)
-        ids *= same
-        if other.size:
-            words = words[:, other]
-            beside = self.slots.take(self._slots(words) ^ 1, mode="wrap")
-            ids[other] = beside * self._same(beside, words, lengths[other])
-        return ids
+    def _slots(self, rows: list) -> np.ndarray:
+        """The slot where the search for each key of ``rows`` starts."""
+        hashes = rows[0]
+        for row, multiplier in zip(rows[1:], _MULTIPLIERS[1:]):
+            hashes = hashes + row * multiplier
+        return (hashes >> self.shift).view(np.int64)
 
-    def _slots(self, words: np.ndarray) -> np.ndarray:
-        """The slot that the hash of each column of ``words`` picks."""
-        hashes = _hashes(words)
-        hashes >>= self.shift
-        return hashes.view(np.int64)
-
-    def _same(self, ids: np.ndarray, words: np.ndarray, lengths: np.ndarray):
-        """Whether each line of ``ids`` has that length and those words.
-        Words past those kept are 0 in every line of a length kept."""
-        same = self.lengths.take(ids) == lengths
-        for kept, word in zip(self.words, words):
-            same &= kept.take(ids) == word
+    def _same(self, ids: np.ndarray, rows: list) -> np.ndarray:
+        """Whether the line of each of ``ids`` has the key ``rows``.  A key
+        ends in a newline, so its words up to the fewer rows decide."""
+        same = self.words[0].take(ids) == rows[0]
+        for kept, row in zip(self.words[1:], rows[1:]):
+            same &= kept.take(ids) == row
         return same
 
-    def add(self, chunk: np.ndarray, starts: np.ndarray, lengths: np.ndarray, ids):
-        """Keep the new lines ``ids`` of ``chunk`` that fit the window, and
-        put each in its slot, or the slot beside it, if that is free."""
+    def add(self, view: np.ndarray, starts: np.ndarray, lengths: np.ndarray, ids):
+        """Keep the new lines ``ids`` of ``view`` that fit the window, each
+        in the first free slot of its search."""
         fits = lengths <= _WINDOW
         if not fits.any():
             return
-        ids, words = ids[fits], _line_words(chunk, starts[fits], lengths[fits])
+        ids, rows = ids[fits], _keys(view, starts[fits], lengths[fits])
         count = len(self.ids)
-        size = self.lengths.size if count < self.lengths.size else 2 * (count + 1)
-        width = max(len(self.words), len(words))
+        size = self.words.shape[1] if count < self.words.shape[1] else 2 * (count + 1)
+        width = max(len(self.words), len(rows))
         if (width, size) != self.words.shape:
             old = self.words
             self.words = np.zeros((width, size), np.uint64)
             self.words[: old.shape[0], : old.shape[1]] = old
-            grown = np.full(size - old.shape[1], -1, np.int32)
-            self.lengths = np.concatenate([self.lengths, grown])
-        self.lengths[ids] = lengths[fits]
-        for kept, word in zip(self.words, words):
-            kept[ids] = word
+        for kept, row in zip(self.words, rows):
+            kept[ids] = row
         bits = _slot_bits(count)
         if 1 << bits != self.slots.size:
             self._slot(bits)
-            ids = np.flatnonzero(self.lengths >= 0)
-            words = self.words[:, ids]
+            ids = np.flatnonzero(self.words.any(axis=0))[1:]
+            rows = list(self.words[:, ids])
         # Where lines share a free slot, the first one met takes it.
-        ids, slots = ids[::-1], self._slots(words[:, ::-1])
-        for _ in range(2):
-            free = self.slots.take(slots, mode="wrap") == 0
-            np.put(self.slots, slots[free], ids[free], mode="wrap")
-            left = np.flatnonzero(self.slots.take(slots, mode="wrap") != ids)
-            ids, slots = ids[left], slots[left] ^ 1
+        ids, home = ids[::-1], self._slots(rows)[::-1]
+        for step in range(self.slots.size):
+            if not ids.size:
+                break
+            self.reach = max(self.reach, step)
+            slots = home ^ step
+            free = self.slots.take(slots) == 0
+            self.slots[slots[free]] = ids[free]
+            left = self.slots.take(slots) != ids
+            ids, home = ids[left], home[left]
 
 
 def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
     """The ids of the lines ``data[start : start + length]``, looked up one
     at a time in ``known.ids``.
 
-    These are the lines the table did not find: new lines, lines whose
-    slot holds another line, and lines longer than the window.  New lines
-    take the next ids in the order they are met.  Also returns where each
-    new line is first met, and its bytes.
+    These are the lines the table did not find: new lines, lines longer
+    than the window, and, only while no slot is free, other lines.  New
+    lines take the next ids in the order they are met.  Also returns where
+    each new line is first met, and its bytes.
     """
     ids = known.ids
     count = len(ids)
@@ -352,44 +335,62 @@ def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
     return found, new, met
 
 
-def _texts(lines: list[bytes]) -> list[str] | None:
-    """Each of ``lines`` as text, or ``None`` if one holds a carriage return
-    before its last byte, where text mode would end a line that ``b"\\n"``
-    does not."""
-    joined = b"\n".join(lines) + b"\n"
+def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
+    """The row of each of ``lines`` past the first ``head``.
+
+    Returns ``None`` unless each of ``lines`` is one whole record, of 2
+    fields past the head, and none holds a carriage return before its last
+    byte, where text mode would end a line that ``b"\\n"`` does not.
+    """
+    # A blank line follows the lines.
+    joined = b"\n".join(lines) + b"\n\n"
     if b"\r" in joined.replace(b"\r\n", b""):
         return None
-    return joined.decode("utf-8").split("\n")[:-1]
+    records = csv.reader(io.StringIO(joined.decode("utf-8"), newline=""))
+    del joined
+    try:
+        rows = list(islice(records, head, len(lines)))
+        # A quote left open swallows the blank line, so the records run out
+        # early; otherwise that blank line is the one record left.
+        if next(records) or next(records, None) is not None:
+            return None
+    except (csv.Error, StopIteration):
+        return None
+    if not set(map(len, rows)) <= {2}:
+        return None
+    return rows
 
 
-def _tallied_chunk(known: _KnownLines, data: bytes, end: int, head: int):
-    """The id in ``known`` of each line of ``data[:end]``, and the bytes of
-    its first ``head`` lines and then of each line met for the first time,
-    which ``known`` now holds too.
+def _tallied_chunk(known: _KnownLines, buffer: bytearray, end: int, head: int):
+    """How many lines of ``buffer[:end]`` have each id in ``known``, how
+    many lines it holds, and the bytes of its first ``head`` lines and then
+    of each line met for the first time, which ``known`` now holds too.
 
     Blank lines and the ``head`` lines have id 0: the table, empty while
     the head is read, holds neither, and they are not looked up.
     """
-    chunk = np.frombuffer(data, np.uint8, end)
-    starts, lengths = _lines(chunk)
-    ids = known.find(chunk, starts, lengths)
-    listed = np.flatnonzero(ids == 0).astype(starts.dtype)
-    # Blank lines, b"\n" and b"\r\n", are not looked up, nor the head.
-    blank = lengths[listed] <= (chunk[starts[listed]] == 13)
-    listed = listed[~blank & (listed >= head)]
-    lines = [data[: lengths[0]]] if head else []
-    while listed.size:
-        part, listed = listed[:_LOOKUP_LINES], listed[_LOOKUP_LINES:]
+    view = np.frombuffer(buffer, np.uint8)
+    starts, lengths = _lines(view[:end])
+    ids, listed = known.find(view, starts, lengths)
+    lines = [bytes(buffer[: lengths[0]])] if head else []
+    if listed.size:
+        # Blank lines, b"\n" and b"\r\n", are not looked up, nor the head.
+        blank = lengths[listed] <= (view[starts[listed]] == 13)
+        listed = listed[~blank & (listed >= head)]
+        data = bytes(memoryview(buffer)[:end])
+    count = len(known.ids)
+    for at in range(0, listed.size, _LOOKUP_LINES):
+        part = listed[at : at + _LOOKUP_LINES]
+        if len(known.ids) > count:
+            # The lines left may repeat those just met.
+            ids[part], missing = known.find(view, starts[part], lengths[part])
+            part = part[missing]
         found, first, met = _listed_ids(known, data, starts[part], lengths[part])
         ids[part] = found
         first = part[first]
-        known.add(chunk, starts[first], lengths[first], ids[first])
+        known.add(view, starts[first], lengths[first], ids[first])
         lines += met
-        if first.size and listed.size:
-            # The lines left may repeat those just met.
-            ids[listed] = known.find(chunk, starts[listed], lengths[listed])
-            listed = listed[ids[listed] == 0]
-    return ids, lines
+    return np.bincount(ids, minlength=len(known.ids) + 1), ids.size, lines
 
 
 def _tallied_cells(tally: np.ndarray, xs: list[int], ys: list[int]):
@@ -404,12 +405,11 @@ def _cell_batches(
     """Yield ``(x indices, y indices, repeats)`` for batches of lines.
 
     The bytes of the stream are read a chunk of whole lines at a time, and
-    one running tally counts every line by its id in :class:`_KnownLines`.
-    In numpy, each line's first ``_WINDOW`` bytes are hashed to a slot of
-    the table, and the line counts as the line whose id the slot holds if
-    its length and bytes are the same.  The other lines are looked up one
-    by one with :func:`_listed_ids`, and only lines met for the first time
-    are decoded and parsed, each into a cell.  The tallied cells are
+    one running tally counts every line by its id in :class:`_KnownLines`,
+    whose table is searched in numpy for every line of the chunk at once.
+    New lines and lines over ``_WINDOW`` bytes are looked up one by one
+    with :func:`_listed_ids`, and only new lines are decoded and parsed,
+    each into a cell.  The tallied cells are
     yielded at the end of the stream, or once the tally holds over
     ``_KNOWN_LINES`` distinct lines, when it starts afresh so that memory
     stays bounded.  From the first chunk past the first where over a
@@ -424,24 +424,22 @@ def _cell_batches(
     xs, ys = [0], [0]  # the cell of each id, after a stand-in for id 0
     tally = np.zeros(1, np.int64)
     read = 0  # lines read so far, each one whole record
-    for data, end in _chunks(stream):
+    for buffer, end, size in _chunks(stream):
         head = 1 if header and not read else 0
-        ids, lines = _tallied_chunk(known, data, end, head)
+        counted, chunk_lines, lines = _tallied_chunk(known, buffer, end, head)
         rows = None
         # Past the first chunk, parsing a quarter of the lines costs about as
         # much as walking them all.
-        if read and 4 * (len(lines) - head) > len(ids):
+        if read and 4 * (len(lines) - head) > chunk_lines:
             reason = "over a quarter of its lines are new"
         else:
             reason = "a line is not one whole record of two fields"
-            texts = _texts(lines) if lines else []
-            if texts is not None:
-                rows = _whole_records(texts[:head], texts[head:]) if texts else []
+            rows = _new_rows(lines, head) if lines else []
         if rows is None:
             log.info("walking records from line %d: %s", read + 1, reason)
             yield _tallied_cells(tally, xs, ys)
             # The chunk's lines, its last one read to its end, then the rest.
-            start = io.StringIO((data + stream.readline()).decode("utf-8"), newline="")
+            start = io.StringIO((buffer[:size] + stream.readline()).decode("utf-8"), newline="")
             rest = io.TextIOWrapper(stream, encoding="utf-8", newline="")
             try:
                 records = chain(start, rest)
@@ -452,10 +450,10 @@ def _cell_batches(
         for x, y in rows:
             xs.append(x_order.setdefault(x.strip(), len(x_order)))
             ys.append(y_order.setdefault(y.strip(), len(y_order)))
-        counted = np.bincount(ids, minlength=len(xs))
         counted[: tally.size] += tally
         tally = counted
-        read += len(ids)
+        read += chunk_lines
+        del lines, rows  # before the next chunk is read
         if len(known.ids) > _KNOWN_LINES:
             yield _tallied_cells(tally, xs, ys)
             known = _KnownLines()
@@ -469,23 +467,24 @@ def parse_pairs_csv(
 ) -> tuple[LabeledAlphabets, np.ndarray]:
     """Read one observation per row (x label, y label) into cell counts.
 
-    ``stream`` is binary, holding UTF-8 text; a byte order mark at its
-    start is dropped.  Returns the alphabets in first-appearance order and
-    an int64 vector of ``rows * cols`` counts, where cell ``cols * x + y``
-    counts the rows with x label index ``x`` and y label index ``y``.
-    Bytes are read in chunks of whole lines, and a line that repeats one
-    met before is counted in numpy, through a table that matches the
-    line's first 64 bytes exactly; a line is decoded and parsed only when
-    it is first met, and the counts reach the table of cells when the
-    stream ends or the tally, grown past ``_KNOWN_LINES`` distinct lines,
-    starts afresh.  From a chunk of many new lines, or one holding a line
-    that is not one whole record (a quoted label that spans lines, a
-    ragged row, a carriage return inside a line), the rest is decoded and
-    read record by record, with the same result and ``line N:`` errors,
-    and one line on the ``pairinfo`` logger says where and why.  Invalid
-    UTF-8 raises ``UnicodeDecodeError``.  No per-row list is kept, so
-    memory grows with the table, not the rows.  The stream is read once,
-    from its current position, and need not be seekable.
+    ``stream`` is a buffered binary stream (``readinto`` fills the reused
+    buffer) of UTF-8 text; a byte order mark at its start is dropped.
+    Returns the alphabets in first-appearance order and an int64 vector of
+    ``rows * cols`` counts, where cell ``cols * x + y`` counts the rows
+    with x label index ``x`` and y label index ``y``.  Bytes are read in
+    64 KiB chunks of whole lines, and a line of up to 63 bytes that
+    repeats one met before is counted in numpy, through a table that holds
+    each such line; a line is decoded and parsed only when it is first
+    met, and the counts reach the table of cells when the stream ends or
+    the tally, grown past ``_KNOWN_LINES`` distinct lines, starts afresh.
+    From a chunk of many new lines, or one holding a line that is not one
+    whole record (a quoted label that spans lines, a ragged row, a
+    carriage return inside a line), the rest is decoded and read record by
+    record, with the same result and ``line N:`` errors, and one line on
+    the ``pairinfo`` logger says where and why.  Invalid UTF-8 raises
+    ``UnicodeDecodeError``.  No per-row list is kept, so memory grows with
+    the table, not the rows.  The stream is read once, from its current
+    position, and need not be seekable.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}

@@ -67,6 +67,17 @@ ADVERSE_LINES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _benchmark_text(lines: int) -> str:
+    """``lines`` lines shaped as the benchmark's: ``xNN,yNN`` with labels
+    drawn from Dirichlet marginals over 50 and 54 symbols."""
+    rng = np.random.default_rng(2024)
+    x = rng.choice(50, lines, p=rng.dirichlet(np.ones(50)))
+    y = rng.choice(54, lines, p=rng.dirichlet(np.ones(54)))
+    cell_lines = [f"x{i:02d},y{j:02d}\n" for i in range(50) for j in range(54)]
+    return "".join(cell_lines[c] for c in (54 * x + y).tolist())
+
+
 def _adverse_text(lines: int) -> str:
     """``lines`` lines drawn from ``ADVERSE_LINES`` with a fixed seed."""
     picks = np.random.default_rng(7).integers(len(ADVERSE_LINES), size=lines)
@@ -240,18 +251,27 @@ class TestParsePairsCsv:
         alphabets, counts = parse_pairs_csv(stream)
         assert counts.sum() == 10
 
-    @pytest.mark.parametrize("first", ["a,p\n", '"a\nb",p\n'])
-    def test_memory_scales_with_cells_not_rows(self, first):
-        """Neither the line tally nor the record walk, which a label spanning
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("a,p\n" + "a,q\nb,p\nb,q\n" * 33_333, 100_000),
+            ('"a\nb",p\n' + "a,q\nb,p\nb,q\n" * 33_333, 100_000),
+            (_benchmark_text(200_000), 200_000),
+        ],
+        ids=["tally", "record_walk", "benchmark_lines"],
+    )
+    def test_memory_scales_with_cells_not_rows(self, text, rows):
+        """Neither the line tally, on 4-byte lines or on the benchmark's
+        2700 distinct lines, nor the record walk, which a label spanning
         lines sends the parser to, keeps one entry per row."""
-        stream = io.BytesIO((first + "a,q\nb,p\nb,q\n" * 33_333).encode())
+        stream = io.BytesIO(text.encode())
         tracemalloc.start()
         try:
             alphabets, counts = parse_pairs_csv(stream)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts.sum() == 100_000
+        assert counts.sum() == rows
         assert peak < 1_000_000
 
 
@@ -262,11 +282,13 @@ class TestKnownLineTable:
     @pytest.mark.parametrize("bits", [0, 1])
     @pytest.mark.parametrize(
         "text",
-        [_adverse_text(400)]
+        [_adverse_text(3000), "abcdefgh,p\nabcdefgh,q\nabcdefgh,p\r\n" * 400]
         + [LAYOUTS["among_repeats"].format(t) for t in RECORD_WALK_INPUTS],
     )
     def test_every_line_collides(self, text, bits, monkeypatch):
-        """A table of one or two slots, so that known lines share them."""
+        """A table of one or two slots, so that known lines share them, over
+        texts long enough that the table is searched again, some of whose
+        lines share their first word."""
         monkeypatch.setattr(cli, "_slot_bits", lambda lines: bits)
         for header in (False, True):
             assert _parsed(text, header) == _walked(text, header)
@@ -281,7 +303,7 @@ class TestKnownLineTable:
         assert "a" * 198 in outcome[0] and "a\x00b" in outcome[0]
         assert ("p\x00" in outcome[1]) and ("\x00" in outcome[1])
 
-    @pytest.mark.parametrize("block_bytes", [7, 64])
+    @pytest.mark.parametrize("block_bytes", [7, 64, _BLOCK_BYTES, 4 * _BLOCK_BYTES])
     @pytest.mark.parametrize("layout", ["alone", "among_repeats"])
     @pytest.mark.parametrize("text", [_adverse_text(400), *RECORD_WALK_INPUTS])
     def test_small_chunks(self, text, layout, block_bytes, monkeypatch):
@@ -292,18 +314,26 @@ class TestKnownLineTable:
         for header in (False, True):
             assert _parsed(text, header) == _walked(text, header)
 
-    def test_repeated_lines_are_counted_in_numpy(self, monkeypatch):
-        """200k lines of at most 2700 distinct ones: nothing is walked, and
-        at most 5% of lines are looked up one by one."""
-        rng = np.random.default_rng(2024)
-        x = rng.choice(50, 200_000, p=rng.dirichlet(np.ones(50)))
-        y = rng.choice(54, 200_000, p=rng.dirichlet(np.ones(54)))
-        cell_lines = [f"x{i:02d},y{j:02d}\n" for i in range(50) for j in range(54)]
-        text = "".join(cell_lines[c] for c in (54 * x + y).tolist())
-        listed = []
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _benchmark_text(200_000),
+            _benchmark_text(200_000)[:-1],
+            _adverse_text(3 * _BLOCK_BYTES // 40),
+        ],
+        ids=["benchmark", "benchmark_unended", "around_the_window"],
+    )
+    def test_repeated_lines_are_counted_in_numpy(self, text, monkeypatch):
+        """200k lines of the benchmark's shape, the last with or without
+        its newline, and lines either side of the window: nothing is
+        walked, and every line looked up one by one is new, or longer than
+        the window."""
+        known_again = []
 
         def looked_up(known, data, starts, lengths):
-            listed.append(len(starts))
+            for at, size in zip(starts.tolist(), lengths.tolist()):
+                if data[at : at + size] in known.ids and size <= cli._WINDOW:
+                    known_again.append(data[at : at + size])
             return real_listed(known, data, starts, lengths)
 
         def walk(*args):
@@ -315,7 +345,7 @@ class TestKnownLineTable:
         outcome = _parsed(text)
         monkeypatch.undo()
         assert outcome == _walked(text, False)
-        assert sum(listed) <= 0.05 * 200_000
+        assert known_again == []
 
 
 class TestPairsEncoding:
@@ -856,6 +886,16 @@ class TestCliErrors:
         code = main(["test", "--input", str(path), "--format", "counts"])
         assert code == 2
         assert "degenerate alphabet" in capsys.readouterr().err
+
+    def test_product_table_normality_exits_2(self, tmp_path, capsys):
+        """Counts 6, 9, 14, 21 are 50 times outer([0.3, 0.7], [0.4, 0.6]),
+        whose MI variance is a rounding residue."""
+        path = tmp_path / "product.csv"
+        path.write_text("x1,y1,6\nx1,y2,9\nx2,y1,14\nx2,y2,21\n", encoding="utf-8")
+        argv = ["--input", str(path), "--format", "counts", "--measure", "mi"]
+        code = main(["normality", *argv, "--n", "2000", "--replicates", "200"])
+        assert code == 2
+        assert "degenerate CLT" in capsys.readouterr().err
 
     def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"

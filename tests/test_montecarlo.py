@@ -41,6 +41,13 @@ H_BOUND_30000 = 0.01
 MI_BOUND_30000 = 0.002
 
 
+def _wide_counts(seed: int) -> np.ndarray:
+    """The benchmark's mc_wide table at ``seed``: 10^6 draws from a flat
+    Dirichlet 100x100 p.m.f., drawn as ``perfbench/inputs.py`` draws it."""
+    rng = np.random.default_rng([seed, 2])
+    return rng.multinomial(10**6, rng.dirichlet(np.ones(10**4)))
+
+
 class TestRngSpec:
     def test_substreams_are_reproducible(self):
         a = RngSpec(123).substream(5).random(8)
@@ -252,6 +259,50 @@ class TestNormalityStudy:
         z = ZPmf(np.full(size, 1.0 / size), PairShape(rows, cols))
         with pytest.raises(ValueError, match="degenerate CLT"):
             normality_study(z, 2000, 200, "entropy", RngSpec(0))
+
+    # Product tables, where the MI's variance is a rounding residue:
+    # 5.2e-33 on the 2x2 and 8.9e-32 on the 100x100 one.
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([0.3, 0.7], [0.4, 0.6]),
+            (
+                np.random.default_rng(5).dirichlet(np.ones(100)),
+                np.random.default_rng(6).dirichlet(np.ones(100)),
+            ),
+        ],
+        ids=["2x2", "100x100"],
+    )
+    def test_product_mi_is_degenerate(self, rows, cols):
+        table = np.outer(rows, cols)
+        z = ZPmf(table.ravel(), PairShape(*table.shape))
+        assert 0 < montecarlo._measure_variance(z, "mi") < 1e-30
+        with pytest.raises(ValueError, match="degenerate CLT"):
+            normality_study(z, 2000, 200, "mi", RngSpec(1))
+
+    # The benchmark's studies at seed 1 keep their values, as (sigma, mean,
+    # variance, KS distance): the t3 table's entropy (mc_small) and the
+    # 100x100 Dirichlet table's MI (mc_wide).
+    @pytest.mark.parametrize(
+        "counts, side, replicates, measure, expected",
+        [
+            (
+                np.array([2, 4, 1, 3]), 2, 2000, "entropy",
+                (0.4253488999091427, -0.03564213397122163,
+                 1.0304558697329218, 0.01984170667872026),
+            ),
+            (
+                _wide_counts(1), 100, 200, "mi",
+                (0.7851368014825563, 44.47388194440649, 1.0147038312097687, 1.0),
+            ),
+        ],
+        ids=["t3_entropy", "wide_mi"],
+    )
+    def test_benchmark_studies_keep_values(self, counts, side, replicates, measure, expected):
+        z = EmpiricalPmf(counts, PairShape(side, side)).as_zpmf()
+        study = normality_study(z, 20000, replicates, measure, RngSpec(1))
+        got = (study.sigma, study.mean, study.variance, study.ks_distance)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestRejectionRate:
