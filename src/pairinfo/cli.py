@@ -147,6 +147,21 @@ def _walked_cells(
         yield np.fromiter(xs, np.intp, len(xs)), np.fromiter(ys, np.intp, len(ys)), 1
 
 
+def _text_lines(runs: Iterable[bytearray]):
+    """The lines of runs of whole UTF-8 lines, as text mode with
+    ``newline=""`` reads them.  A run that does not decode gives the lines
+    before its bad one, then raises, so that a record walk reports the
+    first bad line in the file."""
+    for run in runs:
+        try:
+            text, error = run.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            text, error = run[: run.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), exc
+        yield from io.StringIO(text, newline="")
+        if error:
+            raise error
+
+
 def _chunks(stream: BinaryIO):
     """Yield ``(buffer, end, size)`` for each run of whole lines of ``stream``.
 
@@ -338,23 +353,23 @@ def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
 def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
     """The row of each of ``lines`` past the first ``head``.
 
-    Returns ``None`` unless each of ``lines`` is one whole record, of 2
-    fields past the head, and none holds a carriage return before its last
-    byte, where text mode would end a line that ``b"\\n"`` does not.
+    Returns ``None`` unless each of ``lines`` is one whole record of UTF-8,
+    of 2 fields past the head, and none holds a carriage return before its
+    last byte, where text mode would end a line that ``b"\\n"`` does not.
     """
     # A blank line follows the lines.
     joined = b"\n".join(lines) + b"\n\n"
     if b"\r" in joined.replace(b"\r\n", b""):
         return None
-    records = csv.reader(io.StringIO(joined.decode("utf-8"), newline=""))
-    del joined
     try:
+        records = csv.reader(io.StringIO(joined.decode("utf-8"), newline=""))
+        del joined
         rows = list(islice(records, head, len(lines)))
         # A quote left open swallows the blank line, so the records run out
         # early; otherwise that blank line is the one record left.
         if next(records) or next(records, None) is not None:
             return None
-    except (csv.Error, StopIteration):
+    except (UnicodeDecodeError, csv.Error, StopIteration):
         return None
     if not set(map(len, rows)) <= {2}:
         return None
@@ -414,17 +429,19 @@ def _cell_batches(
     ``_KNOWN_LINES`` distinct lines, when it starts afresh so that memory
     stays bounded.  From the first chunk past the first where over a
     quarter of the lines are new, or that holds a line that is neither
-    blank nor one whole record of two fields, the tally of the chunks
-    before it is yielded and the rest of the stream is decoded and walked
-    record by record with :func:`_rows`, which reads quoted fields that
-    span lines and raises the ``line N:`` errors.  New labels are appended
-    to ``x_order`` and ``y_order`` in first-appearance order.
+    blank nor one whole UTF-8 record of two fields, the tally of the
+    chunks before it is yielded and the rest of the stream is decoded a
+    chunk at a time and walked record by record with :func:`_rows`, which
+    reads quoted fields that span lines and raises the ``line N:`` errors.
+    New labels are appended to ``x_order`` and ``y_order`` in
+    first-appearance order.
     """
     known = _KnownLines()
     xs, ys = [0], [0]  # the cell of each id, after a stand-in for id 0
     tally = np.zeros(1, np.int64)
     read = 0  # lines read so far, each one whole record
-    for buffer, end, size in _chunks(stream):
+    chunks = _chunks(stream)
+    for buffer, end, size in chunks:
         head = 1 if header and not read else 0
         counted, chunk_lines, lines = _tallied_chunk(known, buffer, end, head)
         rows = None
@@ -438,14 +455,9 @@ def _cell_batches(
         if rows is None:
             log.info("walking records from line %d: %s", read + 1, reason)
             yield _tallied_cells(tally, xs, ys)
-            # The chunk's lines, its last one read to its end, then the rest.
-            start = io.StringIO((buffer[:size] + stream.readline()).decode("utf-8"), newline="")
-            rest = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-            try:
-                records = chain(start, rest)
-                yield from _walked_cells(records, header, read + 1, x_order, y_order)
-            finally:
-                rest.detach()  # leave the stream open
+            # The chunk's lines, then those of the chunks after it.
+            runs = chain([buffer[:end]], (run[:stop] for run, stop, _ in chunks))
+            yield from _walked_cells(_text_lines(runs), header, read + 1, x_order, y_order)
             return
         for x, y in rows:
             xs.append(x_order.setdefault(x.strip(), len(x_order)))
@@ -482,7 +494,8 @@ def parse_pairs_csv(
     carriage return inside a line), the rest is decoded and read record by
     record, with the same result and ``line N:`` errors, and one line on
     the ``pairinfo`` logger says where and why.  Invalid UTF-8 raises
-    ``UnicodeDecodeError``.  No per-row list is kept, so memory grows with
+    ``UnicodeDecodeError``, unless a bad record comes before it in the
+    file, whatever the chunk size.  No per-row list is kept, so memory grows with
     the table, not the rows.  The stream is read once, from its current
     position, and need not be seekable.
     """
@@ -530,8 +543,8 @@ def parse_counts_csv(
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
     cells: dict[tuple[int, int], int] = {}
-    for lineno, row in _rows(stream, header, 3):
-        x, y, raw = (field.strip() for field in row)
+    for lineno, (x, y, raw) in _rows(stream, header, 3):
+        x, y, raw = x.strip(), y.strip(), raw.strip()
         try:
             # int() also reads "1_0", "٣" and "１２" as 10, 3 and 12.
             if not raw.isascii() or "_" in raw:
@@ -556,8 +569,8 @@ def parse_counts_csv(
     alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
     counts = np.zeros(alphabets.shape.size, dtype=np.int64)
     cols = len(y_order)
-    for (xi, yi), count in cells.items():
-        counts[cols * xi + yi] = count
+    flat = np.fromiter((cols * xi + yi for xi, yi in cells), np.intp, len(cells))
+    counts[flat] = list(cells.values())
     if not counts.any():
         raise ValueError("all counts are zero: n = 0")
     return alphabets, EmpiricalPmf(counts, alphabets.shape)

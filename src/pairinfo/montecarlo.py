@@ -15,27 +15,28 @@ Four studies, each driven by a true flattened p.m.f. and a seeded RNG:
 
 Every statistic here depends on a sample only through its cell counts,
 and the counts of ``n`` i.i.d. draws of Z follow Multinomial(n, p).  So
-the studies never draw raw outcomes: :func:`_count_blocks` makes replicate
+the studies never draw raw outcomes: :func:`_replicates` makes replicate
 ``i``'s counts with one ``multinomial(n, p)`` call on the substream keyed
-by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.  The counts
-come in blocks of consecutive replicates, one row each, and the studies
-run each measure's batch kernel of :mod:`pairinfo.measures` on a whole
-block at once.  :func:`sample_z` stays public for callers that need raw
-outcomes.
+by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.  It draws
+consecutive replicates into the rows of one int64 block and runs the
+study's statistic, a batch kernel of :mod:`pairinfo.measures`, on the
+whole block at once.  :func:`sample_z` stays public for callers that need
+raw outcomes.
 
 Determinism contract: every replicate (a trace size counts as one) is a
-row of a block of :func:`_count_blocks`, and replicate ``i`` draws only
+row of a block of :func:`_replicates`, and replicate ``i`` draws only
 from substream ``(master_seed, i)``: PCG64 seeded through numpy's
 ``SeedSequence`` with the ``(i + 1)``-th SplitMix64 output of the master
 seed.  The seed words are derived 256 streams at a time in one vectorized
 pass, bit for bit as ``np.random.PCG64(key)`` derives them one key at a
-time.  On a wide support the draws run on one worker thread per available
-CPU, but each still uses its own substream and the replicates come back in
-index order.  A row's statistic does not depend on the other rows of its
-block, so results are byte-identical for a given seed and configuration
-whatever the block size and the number of threads, and a larger study
-extends a smaller one: its first replicates are the smaller study's, bit
-for bit.
+time.  On a wide support each block is drawn and measured on one of a
+pool of worker threads, one per available CPU, but each row still uses its
+own substream, built on the calling thread, and the blocks' results are
+gathered in index order.  A row's statistic does not depend on the other
+rows of its block, so results are byte-identical for a given seed and
+configuration whatever the block size and the number of threads, and a
+larger study extends a smaller one: its first replicates are the smaller
+study's, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ import functools
 import math
 import os
 from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,13 +250,14 @@ def _measure_variance(p: ZPmf, measure: str) -> float:
     return entropy_variance(p) if measure == "entropy" else mi_variance(p)
 
 
-# Supports of at least this many cells draw on a thread pool; on smaller
-# ones handing a draw to a worker costs more than it saves.  Pooled over
-# serial time of normality and power studies (Dirichlet tables, n = 20000,
-# R = 400, 2 threads on a 2-vCPU host, medians of 9): 1.46 at k = 64,
-# 1.3-1.4 at 256, 1.08 at 1024, 0.85-0.90 at 1600, 0.82 at 2025, 0.71-0.85
-# at 4096 and 0.73 at 10^4.
-_POOL_MIN_CELLS = 2048
+# Supports of at least this many cells run their blocks on a thread pool;
+# on smaller ones handing a block to a worker costs more than it saves.
+# Pooled over serial time of normality and power MI studies, each block
+# drawn and measured on the pool (Dirichlet tables, n = 20000, R = 400, 2
+# threads on a 2-vCPU host, medians of 9): 1.26-1.30 at k = 64, 0.89-1.06
+# at 100-196, 0.75-0.88 at 256, 0.74-0.88 at 400, 0.76 at 576, 0.63 at
+# 729, 0.62-0.72 at 1024 and 0.64-0.77 from 1600 to 10^4.
+_POOL_MIN_CELLS = 512
 
 
 def _cpus() -> int:
@@ -277,52 +278,35 @@ def _cpus() -> int:
 _BLOCK_CELLS = 1 << 14
 
 
-def _draws(sizes: np.ndarray, weights: np.ndarray, rng: RngSpec) -> Iterator[np.ndarray]:
-    """Counts over the support of replicate ``i``: one multinomial draw from substream ``i``.
+def _drawn_block(statistic: Callable, weights: np.ndarray, k: int, gens, sizes) -> np.ndarray:
+    """``statistic`` of the frequencies of an int64 ``(len(sizes), k)``
+    block whose row ``j`` starts with a ``multinomial(sizes[j], weights)``
+    draw from the ``j``-th of ``gens``; the cells after it are 0."""
+    counts = np.zeros((sizes.size, k), dtype=np.int64)
+    for row, gen, n in zip(counts[:, : weights.size], gens, sizes.tolist()):
+        row[...] = gen.multinomial(n, weights)
+    return statistic(counts / sizes[:, None])
+
+
+def _replicates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable) -> np.ndarray:
+    """``statistic`` of the replicates' frequencies, joined along its last axis.
+
+    Replicate ``i`` is one ``multinomial(sizes[i], ...)`` draw from
+    substream ``(master_seed, i)``, and ``statistic`` maps a block of
+    ``max(1, _BLOCK_CELLS // k)`` consecutive replicates, a row each, to an
+    array with a value per row on its last axis.  The draw weighs the cells
+    of ``p`` up to its last positive one by their sum over the positive
+    cells: numpy's ``multinomial`` rejects weights whose sum exceeds 1 by
+    more than 1e-12 (a :class:`ZPmf` may be off by 1e-9), and it gives its
+    last cell whatever the others leave.  A zero weight gets 0 and uses no
+    randomness, so the counts are those of a draw over the support alone.
 
     With more than one CPU and a support of at least ``_POOL_MIN_CELLS``
-    cells, the draws run on one worker thread per CPU (``multinomial``
-    releases the GIL), at most two per thread in flight.  Everything else,
-    substream set-up included, stays on the caller's thread, and the draws
-    are yielded in index order, so they do not depend on the number of
-    threads.
-    """
-    threads = _cpus()
-    if threads < 2 or weights.size < _POOL_MIN_CELLS:
-        for i, n in enumerate(sizes):
-            yield rng.substream(i).multinomial(n, weights)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(threads) as pool:
-        pending = deque()
-        for i, n in enumerate(sizes):
-            pending.append(pool.submit(rng.substream(i).multinomial, n, weights))
-            if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def _count_blocks(
-    p: ZPmf, sizes: Sequence[int], rng: RngSpec
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Count blocks of the replicates: replicate ``i`` draws ``sizes[i]`` outcomes.
-
-    Yields ``(counts, block_sizes)``: an int64 ``(m, k)`` block whose row
-    ``j`` holds the counts of the next replicate in index order, and the
-    int64 sample size of each row.  ``m`` is at most
-    ``max(1, _BLOCK_CELLS // k)``; the last block may be shorter.
-
-    Replicate ``i``'s counts are one ``multinomial(sizes[i], p)`` draw from
-    substream ``(master_seed, i)`` (see :func:`_draws`).  The draw runs over
-    the support of ``p`` only, renormalized to sum to 1: numpy's
-    ``multinomial`` rejects weights whose sum exceeds 1 by more than 1e-12
-    (a :class:`ZPmf` may be off by 1e-9), and it gives its last cell
-    whatever the others leave, so a trailing zero cell could otherwise
-    collect counts lost to rounding.  Every size is checked before the
-    first draw, and closing the generator stops the draws and their
-    threads.
+    cells, each block (its draws, division and statistic) runs on one of a
+    pool of threads, one per CPU, at most two blocks per thread in flight;
+    the caller builds the substreams and gathers the results in index
+    order.  Otherwise each substream is built as its row is drawn.  Every
+    size is checked before the first draw, and no thread outlives the call.
     """
     sizes = np.array([_integer(n, "sample size") for n in sizes], dtype=np.int64)
     bad = sizes[sizes < 1]
@@ -330,33 +314,31 @@ def _count_blocks(
         raise ValueError(f"sample size must be at least 1, got {bad[0]}")
     probs = z_vector(p)
     support = np.flatnonzero(probs)
-    weights = probs[support] / probs[support].sum()
+    weights = probs[: support[-1] + 1] / probs[support].sum()
+    block = functools.partial(_drawn_block, statistic, weights, probs.size)
     rows = max(1, _BLOCK_CELLS // probs.size)
-    with closing(_draws(sizes, weights, rng)) as draws:
-        for start in range(0, sizes.size, rows):
-            block_sizes = sizes[start : start + rows]
-            counts = np.zeros((block_sizes.size, probs.size), dtype=np.int64)
-            counts[:, support] = [next(draws) for _ in block_sizes]
-            yield counts, block_sizes
+    streams = range(sizes.size)
+    blocks = [(streams[i : i + rows], sizes[i : i + rows]) for i in streams[::rows]]
+    threads = _cpus()
+    if threads < 2 or support.size < _POOL_MIN_CELLS:
+        return np.concatenate([block(map(rng.substream, s), n) for s, n in blocks], axis=-1)
+    from concurrent.futures import ThreadPoolExecutor
+
+    results, pending = [], deque()
+    with ThreadPoolExecutor(threads) as pool:
+        for s, n in blocks:
+            pending.append(pool.submit(block, [rng.substream(i) for i in s], n))
+            if len(pending) == 2 * threads:
+                results.append(pending.popleft().result())
+        results.extend(future.result() for future in pending)
+    return np.concatenate(results, axis=-1)
 
 
-def _measure_rows(measure: str, freqs: np.ndarray, p: ZPmf) -> np.ndarray:
-    """``measure`` of each row of a block of frequencies on ``p``'s shape."""
+def _row_measure(measure: str, p: ZPmf) -> Callable:
+    """The batch kernel of ``measure`` on blocks of tables of ``p``'s shape."""
     if measure == "entropy":
-        return entropy_rows(freqs)
-    return mutual_information_rows(freqs, p.shape)
-
-
-def _estimates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, measure: str) -> np.ndarray:
-    """Plug-in ``measure`` of each replicate of :func:`_count_blocks`, in index order.
-
-    The blocks are closed even when a kernel raises, so a study that fails
-    midway leaves no draw thread behind.
-    """
-    with closing(_count_blocks(p, sizes, rng)) as blocks:
-        return np.concatenate(
-            [_measure_rows(measure, counts / n[:, None], p) for counts, n in blocks]
-        )
+        return entropy_rows
+    return functools.partial(mutual_information_rows, shape=p.shape)
 
 
 @dataclass(frozen=True)
@@ -386,13 +368,12 @@ def convergence_trace(
         raise ValueError("sizes must be strictly increasing")
     truth = fn(p)
     probs = z_vector(p)
-    estimates, a_zn = [], []
-    with closing(_count_blocks(p, sizes, rng)) as blocks:
-        for counts, n in blocks:
-            freqs = counts / n[:, None]
-            estimates.append(_measure_rows(measure, freqs, p))
-            a_zn.append(np.abs(freqs - probs).max(axis=1))
-    estimates, a_zn = np.concatenate(estimates), np.concatenate(a_zn)
+    kernel = _row_measure(measure, p)
+
+    def statistic(freqs: np.ndarray) -> np.ndarray:
+        return np.stack((kernel(freqs), np.abs(freqs - probs).max(axis=1)))
+
+    estimates, a_zn = _replicates(p, sizes, rng, statistic)
     abs_errors = np.abs(estimates - truth)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(a_zn > 0, abs_errors / a_zn, np.nan)
@@ -448,7 +429,11 @@ def normality_study(
     measure: str,
     rng: RngSpec,
 ) -> NormalityStudy:
-    """Distribution of the standardized estimator over seeded replicates."""
+    """Distribution of the standardized estimator over seeded replicates.
+
+    Logs a warning on the ``pairinfo`` logger when the plug-in bias at
+    ``p`` exceeds the standard error, which shifts the t values.
+    """
     fn = _measure_fn(measure)
     n = _integer(n, "sample size")
     replicates = _integer(replicates, "replicates")
@@ -468,7 +453,24 @@ def normality_study(
             f"{sigma_sq} for this p.m.f."
         )
     sigma = math.sqrt(sigma_sq)
-    estimates = _estimates(p, [n] * replicates, rng, measure)
+    # The plug-in bias at p over the positive cells, rows and columns is
+    # -(k - 1)/2n for H and (kxy - kx - ky + 1)/2n for MI; past the standard
+    # error sigma/sqrt(n), the t values centre near their ratio, not 0.
+    table = z_vector(p).reshape(p.shape.rows, p.shape.cols) > 0
+    cells, rows, cols = table.sum(), table.any(axis=1).sum(), table.any(axis=0).sum()
+    terms = cells - rows - cols + 1 if measure == "mi" else 1 - cells
+    ratio = terms / (2 * sigma * math.sqrt(n))
+    if abs(ratio) > 1:
+        # Imported here, not at the top: pairinfo imports this module before
+        # the CLI, and logging loaded then would be held while cli.py
+        # compiles, raising the set-up memory peak by about 0.4 MB.
+        import logging
+
+        logging.getLogger("pairinfo").warning(
+            "warning: plug-in %s bias at the true p.m.f. is %.3g standard errors "
+            "at n = %d; the t values centre near it, not 0", measure, ratio, n,
+        )
+    estimates = _replicates(p, [n] * replicates, rng, _row_measure(measure, p))
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
@@ -510,7 +512,7 @@ def rejection_rate(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     _, threshold = lrt_threshold(p.shape, alpha)
-    mi = _estimates(p, [n] * replicates, rng, "mi")  # checks n
+    mi = _replicates(p, [n] * replicates, rng, _row_measure("mi", p))  # checks n
     statistics = 2.0 * n * mi  # as lrt_statistic computes it
     return int((statistics > threshold).sum()) / replicates
 
@@ -535,7 +537,7 @@ def variance_check(
     replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
-    estimates = _estimates(p, [n] * replicates, rng, measure)
+    estimates = _replicates(p, [n] * replicates, rng, _row_measure(measure, p))
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),
         canonical=_measure_variance(p, measure),

@@ -366,6 +366,28 @@ class TestPairsEncoding:
         assert main(["estimate", "--input", str(path), "--format", "pairs"]) == 2
         assert "codec can't decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block_bytes", [7, 64, 1000, _BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ({10: b"a,p,q\n", 2910: b"\xff,p\n"}, ValueError, "line 11: expected 2 fields"),
+            ({10: b"\xff,p\n", 2910: b"a,p,q\n"}, UnicodeDecodeError, "byte 0xff"),
+            ({10: b'a,"p\n', 11: b'\xff",q\n', 2910: b"a,p,q\n"}, UnicodeDecodeError, "byte 0xff"),
+            ({10: b"b,q\n", 11: b"\xe2\x82,q\n", 12: b"a,p,q\n"}, UnicodeDecodeError, "invalid continuation"),
+        ],
+        ids=["ragged_first", "invalid_first", "invalid_in_open_quote", "invalid_then_ragged"],
+    )
+    def test_first_bad_line_decides_the_error(self, bad, error, message, block_bytes, monkeypatch):
+        """A ragged row and invalid UTF-8, in one chunk or in two: the
+        one met first in the file is reported, whatever the chunk size."""
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        lines = [b"a,p\n"] * 3000
+        for at, line in bad.items():
+            lines[at] = line
+        with pytest.raises(ValueError, match=message) as raised:
+            parse_pairs_csv(io.BytesIO(b"".join(lines)))
+        assert type(raised.value) is error
+
     @pytest.mark.parametrize("label", ["é", "€", "𝄞"])
     def test_label_across_chunk_edge(self, label):
         """A 2-, 3- or 4-byte character whose bytes straddle the edge
@@ -608,6 +630,37 @@ class TestCliCommands:
         assert len(res["bin_edges"]) == 41
         assert sum(res["bin_counts"]) == 100
         assert res["sigma"] > 0
+
+    @pytest.mark.parametrize("measure", ["entropy", "mi"])
+    def test_normality_warns_of_bias_beyond_the_standard_error(
+        self, tmp_path, capsys, caplog, measure
+    ):
+        """A Dirichlet 30x30 table at n = 1000: the plug-in bias is many
+        standard errors, below the truth for H and above it for MI, and
+        the mean of the t values shows it."""
+        rng = np.random.default_rng(3)
+        counts = rng.multinomial(10**5, rng.dirichlet(np.ones(900)))
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "".join(f"x{i // 30},y{i % 30},{c}\n" for i, c in enumerate(counts)), encoding="utf-8"
+        )
+        argv = ["normality", "--input", str(path), "--format", "counts",
+                "--measure", measure, "--n", "1000", "--replicates", "100"]
+        with caplog.at_level(logging.INFO, logger="pairinfo"):
+            assert main(argv) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: plug-in {measure} bias at the true p.m.f. is ")
+        ratio = float(warnings[0].split(" is ")[1].split()[0])
+        mean = json.loads(capsys.readouterr().out)["results"]["normality"]["mean"]
+        assert abs(ratio) > 10 and abs(mean / ratio - 1) < 0.2, (ratio, mean)
+
+    def test_normality_without_bias_warning(self, counts_file, caplog):
+        argv = ["normality", "--input", counts_file, "--format", "counts",
+                "--measure", "mi", "--n", "20000", "--replicates", "100"]
+        with caplog.at_level(logging.INFO, logger="pairinfo"):
+            assert main(argv) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_output_file(self, counts_file, tmp_path, capsys):
         out = tmp_path / "report.json"

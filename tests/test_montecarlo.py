@@ -130,11 +130,10 @@ class TestCountEngine:
 
     def test_counts_follow_the_multinomial_law(self, demo_z):
         n, replicates, k = 1000, 400, demo_z.shape.size
-        blocks = list(montecarlo._count_blocks(demo_z, [n] * replicates, RngSpec(3)))
-        counts = np.concatenate([block for block, _ in blocks])
-        sizes = np.concatenate([block_sizes for _, block_sizes in blocks])
-        assert counts.shape == (replicates, k) and counts.dtype == np.int64
-        assert (sizes == n).all() and (counts.sum(axis=1) == n).all()
+        freqs = montecarlo._replicates(demo_z, [n] * replicates, RngSpec(3), np.transpose).T
+        counts = np.rint(freqs * n).astype(np.int64)
+        assert counts.shape == (replicates, k)
+        assert (counts.sum(axis=1) == n).all()
 
         def pearson(observed, expected):
             return float((((observed - expected) ** 2) / expected).sum())
@@ -148,6 +147,25 @@ class TestCountEngine:
         df = replicates * (k - 1)
         assert pooled <= chi_square_quantile(1 - 1e-6, k - 1)
         assert chi_square_quantile(1e-6, df) <= spread <= chi_square_quantile(1 - 1e-6, df)
+
+    @pytest.mark.parametrize("k", [2, 3, 40, 300, 3000])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**6])
+    def test_zero_weights_use_no_randomness(self, k, n):
+        """numpy's multinomial gives a zero weight 0 without drawing: with
+        zero cells before and inside the support, the counts on the
+        support, and the generator's state after the draw, are those of a
+        draw over the support alone."""
+        rng = np.random.default_rng([k, n])
+        probs = rng.dirichlet(np.ones(k))
+        probs[rng.random(k) < 0.3] = 0.0
+        probs[0], probs[-1] = 0.0, max(probs[-1], 0.1)
+        support = np.flatnonzero(probs)
+        total = probs[support].sum()
+        full, bare = RngSpec(n).substream(k), RngSpec(n).substream(k)
+        counts = full.multinomial(n, probs / total)
+        np.testing.assert_array_equal(counts[support], bare.multinomial(n, probs[support] / total))
+        assert counts.sum() == n
+        assert full.bit_generator.state == bare.bit_generator.state
 
     def test_memory_does_not_grow_with_sample_size(self, demo_z):
         tracemalloc.start()
@@ -163,14 +181,16 @@ class TestCountEngine:
         # 1e-12 that numpy's multinomial allows; the last cell is zero.
         z = ZPmf([0.3, 0.2 + 5e-10, 0.5, 0.0], PairShape(2, 2))
         seen = []
-        count_blocks = montecarlo._count_blocks
+        drawn_block = montecarlo._drawn_block
 
-        def recording(*args):
-            for counts, sizes in count_blocks(*args):
-                seen.extend(counts.copy())
-                yield counts, sizes
+        def recording(statistic, *args):
+            def seeing(freqs):
+                seen.extend(freqs.copy())
+                return statistic(freqs)
 
-        monkeypatch.setattr(montecarlo, "_count_blocks", recording)
+            return drawn_block(seeing, *args)
+
+        monkeypatch.setattr(montecarlo, "_drawn_block", recording)
         convergence_trace(z, [10, 1000, 10**6], "mi", RngSpec(1))
         normality_study(z, 5000, 100, "entropy", RngSpec(1))
         rejection_rate(z, 5000, 100, 0.05, RngSpec(1))
@@ -347,9 +367,8 @@ class TestRejectionRate:
         z = ZPmf([0.24, 0.26, 0.26, 0.24], PairShape(2, 2))
         n, replicates, alpha = 500, 200, 0.3
         reference = sum(
-            independence_test(EmpiricalPmf(row, z.shape), alpha).reject
-            for counts, _ in montecarlo._count_blocks(z, [n] * replicates, RngSpec(8))
-            for row in counts
+            independence_test(emp, alpha).reject
+            for emp in _per_replicate(z, [n] * replicates, 8)
         )
         rate = rejection_rate(z, n, replicates, alpha, RngSpec(8))
         assert 0 < reference < replicates
@@ -518,9 +537,23 @@ def wide():
     return z
 
 
+@pytest.fixture
+def wide_with_zeros():
+    """A 60x60 table with 900 zero cells, inside it and at its end, and
+    still a support wide enough for the pool."""
+    rng = np.random.default_rng(42)
+    probs = rng.dirichlet(np.ones(3600))
+    probs[rng.choice(3590, 890, replace=False)] = 0.0
+    probs[-10:] = 0.0
+    z = ZPmf(probs / probs.sum(), PairShape(60, 60))
+    assert np.count_nonzero(z.probs) >= montecarlo._POOL_MIN_CELLS
+    return z
+
+
 class TestDrawThreads:
-    """On a wide support the draws run on a thread pool: every result is
-    the serial one, bit for bit, and no thread outlives its study."""
+    """On a wide support each block is drawn and measured on a thread
+    pool: every result is the serial one, bit for bit, substreams are
+    built on the caller's thread, and no thread outlives its study."""
 
     @staticmethod
     def _studies(z):
@@ -535,7 +568,9 @@ class TestDrawThreads:
     def _force_threads(monkeypatch, threads):
         monkeypatch.setattr(montecarlo, "_cpus", lambda: threads)
 
-    def test_results_do_not_depend_on_thread_count(self, wide, monkeypatch):
+    @pytest.mark.parametrize("table", ["wide", "wide_with_zeros"])
+    def test_results_do_not_depend_on_thread_count(self, request, monkeypatch, table):
+        z = request.getfixturevalue(table)
         results = {}
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
@@ -543,7 +578,7 @@ class TestDrawThreads:
             for threads in (1, 2, 5):  # 5 is more threads than most hosts have CPUs
                 self._force_threads(monkeypatch, threads)
                 results[threads] = {
-                    name: _in_thread(run) for name, run in self._studies(wide).items()
+                    name: _in_thread(run) for name, run in self._studies(z).items()
                 }
         finally:
             sys.setswitchinterval(switch)
@@ -554,13 +589,18 @@ class TestDrawThreads:
                     _bits(v) for v in _values(serial)
                 ], (threads, name)
 
-    def test_draws_leave_the_callers_thread_only_on_a_wide_support(
-        self, wide, demo_z, monkeypatch
+    @pytest.mark.parametrize("measure", ["entropy", "mi"])
+    def test_blocks_leave_the_callers_thread_only_on_a_wide_support(
+        self, wide, demo_z, monkeypatch, measure
     ):
-        drawn_on, keyed_on = set(), set()
+        drawn_on, measured_on, keyed_on = set(), set(), set()
         started = []
         substream = RngSpec.substream
         start = threading.Thread.start
+        kernels = {
+            name: getattr(montecarlo, name)
+            for name in ("entropy_rows", "mutual_information_rows")
+        }
 
         class Recording:
             def __init__(self, gen):
@@ -578,20 +618,31 @@ class TestDrawThreads:
             keyed_on.add(threading.get_ident())
             return Recording(substream(self, stream))
 
+        def measuring(kernel):
+            def measured(*args, **kwargs):
+                measured_on.add(threading.get_ident())
+                return kernel(*args, **kwargs)
+
+            return measured
+
         monkeypatch.setattr(RngSpec, "substream", recording)
         monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for name, kernel in kernels.items():
+            monkeypatch.setattr(montecarlo, name, measuring(kernel))
         caller = threading.get_ident()
         for threads, z, pooled in [(2, demo_z, False), (1, wide, False), (2, wide, True)]:
             self._force_threads(monkeypatch, threads)
             drawn_on.clear()
+            measured_on.clear()
             started.clear()
-            variance_check(z, 2000, 20, "mi", RngSpec(0))
+            variance_check(z, 2000, 20, measure, RngSpec(0))
             assert keyed_on == {caller}  # the tracer's spans stay on one thread
             if pooled:
                 assert drawn_on and caller not in drawn_on
+                assert measured_on and caller not in measured_on
                 assert 1 <= len(started) <= threads
             else:
-                assert drawn_on == {caller}
+                assert drawn_on == measured_on == {caller}
                 assert started == []
 
     def test_draw_error_reraises_in_the_caller(self, wide, monkeypatch):
@@ -612,15 +663,18 @@ class TestDrawThreads:
                 _in_thread(run)
             assert threading.active_count() == baseline
 
-    def test_abandoned_study_leaves_no_thread(self, wide, monkeypatch):
+    def test_kernel_error_reraises_in_the_caller_and_leaves_no_thread(
+        self, wide, monkeypatch
+    ):
         self._force_threads(monkeypatch, 2)
         baseline = threading.active_count()
         kernel = montecarlo.mutual_information_rows
-        calls = []
+        calls, failed_on = [], []
 
         def failing_midway(freqs, shape):
             calls.append(freqs.shape[0])
             if len(calls) == 10:  # of 17 blocks of at most 6 rows
+                failed_on.append(threading.get_ident())
                 raise ValueError("measure failed")
             return kernel(freqs, shape)
 
@@ -633,12 +687,7 @@ class TestDrawThreads:
             assert threading.active_count() == baseline
         else:
             pytest.fail("the study did not raise")
-
-        blocks = montecarlo._count_blocks(wide, [2000] * 100, RngSpec(0))
-        next(blocks)
-        assert threading.active_count() > baseline
-        blocks.close()
-        assert threading.active_count() == baseline
+        assert failed_on and threading.get_ident() not in failed_on
 
     def test_sizes_are_checked_before_any_draw(self, wide, monkeypatch):
         calls = []
@@ -651,7 +700,7 @@ class TestDrawThreads:
         monkeypatch.setattr(RngSpec, "substream", counting)
         self._force_threads(monkeypatch, 2)
         with pytest.raises(ValueError, match="sample size must be at least 1"):
-            next(montecarlo._count_blocks(wide, [1000] * 20 + [0], RngSpec(0)))
+            montecarlo._replicates(wide, [1000] * 20 + [0], RngSpec(0), np.transpose)
         assert calls == []
 
 
@@ -877,18 +926,29 @@ class TestCountBlocks:
             else:
                 _assert_same_fields(got, want)
 
-    def test_blocks_are_capped_by_cells(self, demo_z, wide):
-        for z, replicates, rows in [(demo_z, 5000, 4096), (wide, 20, 6)]:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_are_capped_by_cells(self, demo_z, wide_with_zeros, monkeypatch, threads):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: threads)
+        drawn_block = montecarlo._drawn_block
+        blocks = []
+
+        def recording(statistic, weights, k, gens, sizes):
+            blocks.append(sizes.copy())
+            return drawn_block(statistic, weights, k, gens, sizes)
+
+        monkeypatch.setattr(montecarlo, "_drawn_block", recording)
+        for z, replicates, rows in [(demo_z, 5000, 4096), (wide_with_zeros, 20, 4)]:
+            blocks.clear()
             sizes = list(range(1000, 1000 + replicates))
-            blocks = list(montecarlo._count_blocks(z, sizes, RngSpec(0)))
-            assert [len(counts) for counts, _ in blocks[:-1]] == [rows] * (len(blocks) - 1)
-            assert 1 <= len(blocks[-1][0]) <= rows
-            for counts, block_sizes in blocks:
-                assert counts.dtype == block_sizes.dtype == np.int64
-                assert counts.shape == (block_sizes.size, z.shape.size)
-                np.testing.assert_array_equal(counts.sum(axis=1), block_sizes)
-            got = np.concatenate([block_sizes for _, block_sizes in blocks])
-            np.testing.assert_array_equal(got, sizes)
+            freqs = montecarlo._replicates(z, sizes, RngSpec(0), np.transpose).T
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= rows
+            assert all(b.dtype == np.int64 for b in blocks)
+            np.testing.assert_array_equal(np.concatenate(blocks), sizes)
+            # Rows come back in index order, each the frequencies of its draw.
+            expected = [emp.freqs for emp in _per_replicate(z, sizes, 0)]
+            assert freqs.shape == (replicates, z.shape.size)
+            np.testing.assert_array_equal(freqs, expected)
 
     def test_pooled_study_memory_stays_small(self, monkeypatch):
         # mc_wide's table size: k = 10^4 gives one-row blocks.
