@@ -29,14 +29,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import logging
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -79,7 +78,7 @@ class RunConfig:
     output_format: str = "json"
 
 
-def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
+def _rows(lines: Iterable[str], header: bool, width: int, start: int = 1):
     """Yield ``(lineno, row)`` for each data row of ``width`` fields.
 
     Skips the header row when asked and blank lines; rows are yielded
@@ -92,7 +91,7 @@ def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
     """
     lineno = start - 1
     try:
-        for lineno, row in enumerate(csv.reader(stream), start=start):
+        for lineno, row in enumerate(csv.reader(lines), start=start):
             if (header and lineno == 1) or not row:
                 continue
             if len(row) != width:
@@ -105,9 +104,9 @@ def _rows(stream: TextIO, header: bool, width: int, start: int = 1):
         raise ValueError(f"line {lineno + 1}: {exc}") from None
 
 
-# Bytes of a pairs file read at a time, rows of a record walk turned into
-# cells at a time, and distinct lines the tally holds before it yields
-# their cells and starts afresh.
+# Bytes of a pairs or counts file read at a time, rows of a record walk
+# turned into cells at a time, and distinct lines the tally holds before
+# it yields their cells and starts afresh.
 _BLOCK_BYTES = 1 << 16
 _BLOCK_LINES = 4096
 _KNOWN_LINES = 1 << 16
@@ -173,7 +172,10 @@ def _chunks(stream: BinaryIO):
     follow ``end``, for the words :func:`_keys` reads past a line's end.
     A byte order mark is dropped from the first bytes read.
     """
-    buffer = bytearray(stream.read(_BLOCK_BYTES).removeprefix(_BOM))
+    first = stream.read(_BLOCK_BYTES)
+    if isinstance(first, str):
+        raise TypeError("input must be a binary stream, such as open(path, 'rb')")
+    buffer = bytearray(first.removeprefix(_BOM))
     size = len(buffer)
     buffer += bytes(_BLOCK_BYTES + 2 * _WINDOW - size)
     while size:
@@ -532,18 +534,21 @@ def _room(counts: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def parse_counts_csv(
-    stream: TextIO, header: bool = False
+    stream: BinaryIO, header: bool = False
 ) -> tuple[LabeledAlphabets, EmpiricalPmf]:
     """Read one cell per row (x label, y label, count).
 
     Cells never mentioned get count 0; mentioning a cell twice is an
     error.  At least one count must be positive, and every count must fit
-    in a signed 64-bit integer.
+    in a signed 64-bit integer.  ``stream`` is binary and is read as
+    :func:`parse_pairs_csv` reads it, then walked record by record, so the
+    first bad line in the file decides the error.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
     cells: dict[tuple[int, int], int] = {}
-    for lineno, (x, y, raw) in _rows(stream, header, 3):
+    lines = _text_lines(run[:end] for run, end, _ in _chunks(stream))
+    for lineno, (x, y, raw) in _rows(lines, header, 3):
         x, y, raw = x.strip(), y.strip(), raw.strip()
         try:
             # int() also reads "1_0", "٣" and "１２" as 10, 3 and 12.
@@ -609,35 +614,64 @@ def parse_sizes(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def _json_float(value: float):
-    """``value`` rounded to 9 significant digits, or ``None`` if not finite."""
-    # JSON has no NaN or infinity; strict parsers reject the bare tokens.
-    return float(format(value, ".9g")) if math.isfinite(value) else None
+def _spelled(values: np.ndarray) -> list[str]:
+    """The ``.9g`` text of each element of a 1-D float array."""
+    return list(map("{:.9g}".format, values.tolist()))
 
 
-def _jsonable(obj):
-    """Plain JSON types with floats rounded to 9 significant digits and
-    non-finite floats as ``None``."""
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(val) for val in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            # Every element is a Python float: skip the type dispatch.
-            return [_json_float(val) for val in obj.tolist()]
-        return [_jsonable(val) for val in obj.tolist()]
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON of each element of a 1-D float array: the repr of the float
+    its ``.9g`` text reads as.  That is the text itself but for the values,
+    found in numpy, that are not finite (``null``), are subnormal or may
+    round to an integer, as every one from 5e7 up may."""
+    values = values.astype(float, copy=False)
+    texts = _spelled(values)
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        # Rounding to 9 digits moves a value by at most 5e-9 of its size.
+        whole = np.abs(values - np.rint(values)) <= 1e-8 * size
+    finite = np.isfinite(values)
+    other = whole | ~finite | (size < np.finfo(float).tiny)
+    for at in np.flatnonzero(other).tolist():
+        # JSON has no NaN or infinity; strict parsers reject the bare tokens.
+        texts[at] = repr(float(texts[at])) if finite[at] else "null"
+    return texts
+
+
+def _json(obj, sep: str = ", ", colon: str = ": ", step: str = "", outer: str = "") -> str:
+    """``obj`` as ``json.dumps`` spells it with ``separators=(sep, colon)``
+    and, if ``step`` is given, ``indent=step``, and floats as
+    :func:`_json_floats` does.  ``obj`` holds dicts, lists, tuples, arrays,
+    strings, bools, ints, floats and ``None``, numpy scalars too; ``outer``
+    is the newline and indent before its closing bracket."""
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _json_float(float(obj))
-    return obj
-
-
-def _compact_json(obj) -> str:
-    return json.dumps(_jsonable(obj), separators=(",", ":"))
+        return _json_floats(np.array([obj], float))[0]
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner, brackets = outer + step, "[]"
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(key) + colon + _json(val, sep, colon, step, inner)
+                 for key, val in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        items = _json_floats(obj)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        values = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if set(map(type, values)) == {str}:  # labels, joined in one pass
+            items = list(map(encode_basestring_ascii, values))
+        else:
+            items = [_json(val, sep, colon, step, inner) for val in values]
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + (sep + inner).join(items) + outer + brackets[1]
 
 
 def _report_json(config: RunConfig, alphabets: LabeledAlphabets, results: dict) -> str:
@@ -650,22 +684,20 @@ def _report_json(config: RunConfig, alphabets: LabeledAlphabets, results: dict) 
         },
         "results": results,
     }
-    return json.dumps(_jsonable(report), indent=2) + "\n"
+    return _json(report, ",", ": ", "  ", "\n") + "\n"
 
 
 def _csv_report(config: RunConfig, comments: list[str], columns: dict) -> str:
     """The ``# config:`` line and further comment lines, a header row of the
     column names, then one row per index: the first column as int, the
-    others at nine significant digits.
+    others as ``.9g`` text.
     """
-    buf = io.StringIO()
-    for line in ["# config: " + _compact_json(asdict(config)), *comments]:
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for first, *rest in zip(*columns.values()):
-        writer.writerow([int(first), *(format(v, ".9g") for v in rest)])
-    return buf.getvalue()
+    first, *rest = columns.values()
+    cells = [list(map(str, map(int, first)))]
+    cells += [_spelled(np.asarray(column, dtype=float)) for column in rest]
+    config_line = "# config: " + _json(asdict(config), ",", ":")
+    lines = [config_line, *comments, ",".join(columns)]
+    return "\n".join([*lines, *map(",".join, zip(*cells))]) + "\n"
 
 
 def _estimate_dict(rep: EstimateReport) -> dict:
@@ -683,14 +715,11 @@ def _normality_fields(study: NormalityStudy) -> tuple[dict, dict]:
 
 
 def _ingest(config: RunConfig) -> tuple[LabeledAlphabets, EmpiricalPmf]:
-    path = Path(config.input)
-    if config.format == "pairs":
-        with path.open("rb") as stream:
+    with Path(config.input).open("rb") as stream:
+        if config.format == "pairs":
             alphabets, counts = parse_pairs_csv(stream, header=config.header)
-        emp = EmpiricalPmf(counts, alphabets.shape)
-    else:
-        # utf-8-sig drops the byte order mark that spreadsheet exports put first.
-        with path.open(newline="", encoding="utf-8-sig") as stream:
+            emp = EmpiricalPmf(counts, alphabets.shape)
+        else:
             alphabets, emp = parse_counts_csv(stream, header=config.header)
     log.info(
         "ingested %s: %dx%d alphabet, n = %d",
@@ -746,9 +775,9 @@ def run(config: RunConfig) -> int:
         scalars, arrays = _normality_fields(study)
         if csv_out:
             comments = [
-                "# summary: " + _compact_json(scalars),
-                "# bin_edges: " + json.dumps(_jsonable(study.bin_edges)),
-                "# bin_counts: " + json.dumps(_jsonable(study.bin_counts)),
+                "# summary: " + _json(scalars, ",", ":"),
+                "# bin_edges: " + _json(study.bin_edges),
+                "# bin_counts: " + _json(study.bin_counts),
             ]
             columns = {
                 "index": range(1, study.replicates + 1),

@@ -1,6 +1,9 @@
 """Tests for CSV ingestion, report serialization, and the CLI commands."""
 
+import csv
+import dataclasses
 import functools
+import hashlib
 import io
 import json
 import logging
@@ -132,6 +135,11 @@ def _walked(text, header):
 def _parsed(text, header=False):
     """The outcome of parsing the UTF-8 bytes of ``text``."""
     return _outcome(parse_pairs_csv, io.BytesIO(text.encode()), header)
+
+
+def _counts(text, header=False):
+    """Parse the UTF-8 bytes of ``text`` as counts input."""
+    return parse_counts_csv(io.BytesIO(text.encode()), header)
 
 
 class TestParsePairsCsv:
@@ -435,26 +443,26 @@ class TestWalkLog:
 
 class TestParseCountsCsv:
     def test_working_table(self):
-        alphabets, emp = parse_counts_csv(io.StringIO(DEMO_COUNTS_CSV))
+        alphabets, emp = _counts(DEMO_COUNTS_CSV)
         assert alphabets.x_labels == ("x1", "x2")
         np.testing.assert_array_equal(emp.counts, [2, 4, 1, 3])
         assert emp.n == 10
 
     def test_missing_cell_counts_zero(self):
         text = "x1,y1,2\nx1,y2,4\nx2,y2,3\n"
-        _, emp = parse_counts_csv(io.StringIO(text))
+        _, emp = _counts(text)
         np.testing.assert_array_equal(emp.counts, [2, 4, 0, 3])
 
     def test_duplicate_cell(self):
         text = "x1,y1,2\nx1,y1,3\n"
         with pytest.raises(ValueError, match=r"line 2: duplicate cell \(x1, y1\)"):
-            parse_counts_csv(io.StringIO(text))
+            _counts(text)
 
     def test_count_must_be_nonnegative_integer(self):
         with pytest.raises(ValueError, match="line 1: count"):
-            parse_counts_csv(io.StringIO("x1,y1,2.5\n"))
+            _counts("x1,y1,2.5\n")
         with pytest.raises(ValueError, match="nonnegative"):
-            parse_counts_csv(io.StringIO("x1,y1,-2\n"))
+            _counts("x1,y1,-2\n")
 
     @pytest.mark.parametrize("raw", ["1_0", "٣", "１２"])
     def test_count_must_be_ascii_digits(self, raw):
@@ -462,29 +470,69 @@ class TestParseCountsCsv:
         with pytest.raises(
             ValueError, match=f"line 2: count must be an integer, got {raw!r}"
         ):
-            parse_counts_csv(io.StringIO(f"x1,y1,1\nx1,y2,{raw}\n"))
+            _counts(f"x1,y1,1\nx1,y2,{raw}\n")
 
     @pytest.mark.parametrize("raw, count", [("+4", 4), (" 7 ", 7)])
     def test_count_sign_and_spaces(self, raw, count):
-        _, emp = parse_counts_csv(io.StringIO(f"x1,y1,1\nx1,y2,{raw}\n"))
+        _, emp = _counts(f"x1,y1,1\nx1,y2,{raw}\n")
         np.testing.assert_array_equal(emp.counts, [1, count])
 
     def test_all_zero_counts(self):
         with pytest.raises(ValueError, match="zero"):
-            parse_counts_csv(io.StringIO("x1,y1,0\nx1,y2,0\n"))
+            _counts("x1,y1,0\nx1,y2,0\n")
 
     def test_field_count(self):
         with pytest.raises(ValueError, match="line 1: expected 3 fields"):
-            parse_counts_csv(io.StringIO("x1,y1\n"))
+            _counts("x1,y1\n")
 
     def test_counts_beyond_int64(self):
         text = "x1,y1,1\nx1,y2,9223372036854775808\n"
         with pytest.raises(ValueError, match="line 2: count must be at most"):
-            parse_counts_csv(io.StringIO(text))
+            _counts(text)
         # Every count fits, but their total wraps around in int64.
         text = "".join(f"x{i},y{j},{2**62 + 1}\n" for i in (1, 2) for j in (1, 2))
         with pytest.raises(ValueError, match="int64"):
-            parse_counts_csv(io.StringIO(text))
+            _counts(text)
+
+
+class TestCountsReading:
+    """Counts input is read as bytes, chunk by chunk, and walked record by
+    record."""
+
+    @pytest.mark.parametrize("block_bytes", [7, 64, 1000, _BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ({10: b"a,p\n", 100: b"\xff,p,1\n"}, ValueError, "line 11: expected 3 fields"),
+            ({10: b"a,p\n", 2900: b"\xff,p,1\n"}, ValueError, "line 11: expected 3 fields"),
+            ({10: b"x2,y,5\n", 100: b"\xff,p,1\n"}, ValueError, r"line 11: duplicate cell \(x2, y\)"),
+            ({10: b"a,p,x\n", 100: b"\xff,p,1\n"}, ValueError, "line 11: count must be an integer"),
+            ({10: b"\xff,p,1\n", 2910: b"a,p\n"}, UnicodeDecodeError, "byte 0xff"),
+            ({10: b'a,"p\n', 11: b'\xff",q,1\n', 2910: b"a,p\n"}, UnicodeDecodeError, "byte 0xff"),
+            ({10: b"b,q,1\n", 11: b"\xe2\x82,q,1\n", 12: b"a,p\n"}, UnicodeDecodeError, "invalid continuation"),
+        ],
+        ids=["ragged_first", "ragged_far_first", "duplicate_first", "count_first",
+             "invalid_first", "invalid_in_open_quote", "invalid_then_ragged"],
+    )
+    def test_first_bad_line_decides_the_error(self, bad, error, message, block_bytes, monkeypatch):
+        """The counts twin of the pairs test: whatever the chunk size, the
+        bad line met first in the file is reported."""
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        lines = [f"x{i},y,1\n".encode() for i in range(3000)]
+        for at, line in bad.items():
+            lines[at] = line
+        with pytest.raises(ValueError, match=message) as raised:
+            parse_counts_csv(io.BytesIO(b"".join(lines)))
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("parse", [parse_pairs_csv, parse_counts_csv])
+    def test_text_stream_is_refused(self, parse):
+        with pytest.raises(TypeError, match="binary stream"):
+            parse(io.StringIO("a,p,1\n"))
+
+    def test_byte_order_mark_only_at_start(self):
+        alphabets, _ = _counts("\ufeffa,p,1\n\ufeffb,q,2\n")
+        assert alphabets.x_labels == ("a", "\ufeffb")
 
 
 class TestSerializeRoundTrip:
@@ -501,7 +549,7 @@ class TestSerializeRoundTrip:
                 tuple(f"y{j}" for j in range(cols)),
             )
             text = serialize_counts_csv(alphabets, emp)
-            alphabets2, emp2 = parse_counts_csv(io.StringIO(text))
+            alphabets2, emp2 = _counts(text)
             assert alphabets2.x_labels == alphabets.x_labels
             assert alphabets2.y_labels == alphabets.y_labels
             assert emp2 == emp
@@ -510,7 +558,7 @@ class TestSerializeRoundTrip:
         emp = EmpiricalPmf(np.array([3, 4]), PairShape(1, 2))
         alphabets = LabeledAlphabets(("a,b",), ("p", "q r"))
         text = serialize_counts_csv(alphabets, emp)
-        alphabets2, emp2 = parse_counts_csv(io.StringIO(text))
+        alphabets2, emp2 = _counts(text)
         assert alphabets2.x_labels == ("a,b",)
         assert emp2 == emp
 
@@ -868,8 +916,64 @@ class TestNonFiniteAndZero:
             assert rep["ci_lower"] == rep["estimate"] == rep["ci_upper"]
 
 
-class TestJsonable:
-    """Float arrays take a fast path with the scalar rule's exact output."""
+def _jsonable(obj):
+    """Reference: the rule reports were first written by, as plain JSON
+    types for ``json.dumps``, with floats rounded to 9 significant digits
+    and non-finite floats as ``None``."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(val) for val in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return float(format(value, ".9g")) if np.isfinite(value) else None
+    return obj
+
+
+def _spellings(obj):
+    """The writer's three JSON spellings of ``obj``: an indented report, a
+    compact comment object and a comment array with default separators."""
+    return [
+        cli._json(obj, ",", ": ", "  ", "\n"),
+        cli._json(obj, ",", ":"),
+        cli._json(obj),
+    ]
+
+
+def _reference_spellings(obj):
+    plain = _jsonable(obj)
+    return [
+        json.dumps(plain, indent=2),
+        json.dumps(plain, separators=(",", ":")),
+        json.dumps(plain),
+    ]
+
+
+def _awkward_floats() -> np.ndarray:
+    """Floats where the repr of the rounded value and its ``.9g`` text
+    differ, or nearly do."""
+    rng = np.random.default_rng(16)
+    big = rng.uniform(8, 17, 400)
+    big = 10.0 ** big * rng.choice([-1, 1], 400)
+    big[::7] = np.round(big[::7])
+    subnormal = rng.integers(1, 1 << 52, 50).view(np.float64)
+    return np.concatenate([
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny,
+         2.0, -2.0, 1.0, 3e8, 999999999.7, 999999999.4, 1e9, 123456789.5, 1e16, 1e17,
+         2.0000000001, 0.99999999999, 1e-5, 9.99999999999e-5, 1 / 3, 1.7976931348623157e308],
+        big, subnormal, -subnormal, rng.normal(size=200) * 10.0 ** rng.integers(-12, 12, 200),
+    ])
+
+
+class TestReportWriter:
+    """One writer spells reports as ``json.dumps`` of the old plain-JSON
+    rule did, and CSV cells as ``format(v, ".9g")``, byte for byte."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_float_array_matches_elementwise_rule(self, dtype):
@@ -879,15 +983,128 @@ class TestJsonable:
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, info.smallest_subnormal, info.max,
                    1 / 3, 123456789.5]
         arr = np.concatenate([values, np.array(special, dtype=dtype)])
-        got = cli._jsonable(arr)
-        expected = [cli._jsonable(v) for v in arr]  # numpy scalars, one at a time
-        assert json.dumps(got) == json.dumps(expected)
-        assert got[-9:-6] == [None, None, None]
+        assert _spellings(arr) == _reference_spellings(arr)
+        # Numpy scalars, one at a time, are spelled as the array spells them.
+        assert cli._json(arr) == "[" + ", ".join(cli._json(v) for v in arr) + "]"
+        assert cli._json(arr[-9:-6]) == "[null, null, null]"
+
+    def test_awkward_floats(self):
+        arr = _awkward_floats()
+        assert _spellings(arr) == _reference_spellings(arr)
+        assert _spellings(list(arr)) == _reference_spellings(list(arr))
+        assert [cli._json(float(v)) for v in arr] == [json.dumps(_jsonable(v)) for v in arr]
+        assert cli._json(np.array([5e-324, 2.0, -0.0, 1234567890.0])) == (
+            "[5e-324, 2.0, -0.0, 1234567890.0]"
+        )
+
+    def test_csv_cells_keep_the_9g_text(self):
+        arr = _awkward_floats()
+        assert cli._spelled(arr) == [format(v, ".9g") for v in arr]
+        assert cli._spelled(np.array([5e-324, 2.0, -0.0, 1234567890.0, np.nan])) == [
+            "4.94065646e-324", "2", "-0", "1.23456789e+09", "nan",
+        ]
 
     def test_other_arrays_keep_their_types(self):
-        assert cli._jsonable(np.array([3, 4])) == [3, 4]
-        assert cli._jsonable(np.array([True, False])) == [True, False]
-        assert cli._jsonable(np.array([[0.5, np.nan]])) == [[0.5, None]]
+        assert cli._json(np.array([3, 4])) == "[3, 4]"
+        assert cli._json(np.array([True, False])) == "[true, false]"
+        assert cli._json(np.array([[0.5, np.nan]])) == "[[0.5, null]]"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            (),
+            np.array([]),
+            np.zeros((0, 2)),
+            {"a": {}, "b": [], "c": np.array([], np.float32)},
+            [True, False, np.bool_(True), None, np.int64(-7), np.uint8(200), 2**70],
+            {"x": ["é", "€", "𝄞", "a\"b\\c", "tab\tnew\nline", "\x00"], "y": []},
+            {"labels": [f"r{i:03d}" for i in range(200)], "mixed": ["a", 1, 1.5]},
+            {"nested": [[1.0, 2.5], (np.float32(0.1), np.float64(1e9))], "n": 3},
+            np.array([[1.5, np.inf], [-0.0, 1e12]]),
+            {"s": "ü", "f": 100000000.0, "g": 1e16, "h": 1234567890.0},
+        ],
+    )
+    def test_containers_and_scalars(self, obj):
+        assert _spellings(obj) == _reference_spellings(obj)
+
+    def test_non_ascii_labels_are_escaped(self):
+        assert cli._json(["é", "𝄞"]) == json.dumps(["é", "𝄞"]) == '["\\u00e9", "\\ud834\\udd1e"]'
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="set"):
+            cli._json({"a": {1, 2}})
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"index": range(1, 4), "value": np.array([0.5, np.nan, -0.0])},
+            {"size": [10, 20], "estimate": np.array([1234567890.0, 5e-324]),
+             "ratio": np.array([np.inf, 2.0])},
+        ],
+    )
+    def test_csv_report_matches_cell_by_cell_rule(self, columns):
+        config = cli.RunConfig("trace", "in.csv", "counts", sizes=[10, 20], alpha=1e-10)
+        comments = ["# summary: " + cli._json({"a": 1.5, "b": None}, ",", ":")]
+        buf = io.StringIO()
+        buf.write("# config: " + json.dumps(_jsonable(dataclasses.asdict(config)),
+                                            separators=(",", ":")) + "\n")
+        buf.write('# summary: {"a":1.5,"b":null}\n')
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for first, *rest in zip(*columns.values()):
+            writer.writerow([int(first), *(format(v, ".9g") for v in rest)])
+        assert cli._csv_report(config, comments, columns) == buf.getvalue()
+
+
+# The README example table, and the sha256 of each report the README's
+# commands write from it, pinned before the report writer was replaced.
+README_TABLE = "x1,y1,2\nx1,y2,4\nx2,y1,1\nx2,y2,3\n"
+README_TRACE = ["trace", "--measure", "mi", "--sizes", "1000:30000:1000", "--seed", "1"]
+README_NORMALITY = [
+    "normality", "--measure", "entropy", "--n", "20000", "--replicates", "2000", "--seed", "42",
+]
+README_REPORTS = {
+    "estimate": (
+        ["estimate"],
+        "66ecc97a74001a315e2289d2d863af7a80bd8ab019e5230ba54158f4ea04b231",
+    ),
+    "test": (
+        ["test", "--alpha", "0.05"],
+        "de46df091b3079485d745375b32c21495a03f36aec2af1ac4b3595eccd56ba1f",
+    ),
+    "trace_csv": (
+        README_TRACE,
+        "3fa8e61c2432934c1b04349732717a34afa3495fd64338e5b3bf490a4da25c8d",
+    ),
+    "trace_json": (
+        README_TRACE + ["--output-format", "json"],
+        "06500d73aec3febc070473fb44a8919cc88259014d2fc439ece564319e74a229",
+    ),
+    "normality_json": (
+        README_NORMALITY,
+        "4b1639fe0c756ce5ffd3af872cc844ae932d573b89048b4c645e81e6db9c68b8",
+    ),
+    "normality_csv": (
+        README_NORMALITY + ["--output-format", "csv"],
+        "a91ea0733123b94a010b7f7a3bd3e7bd59645ab9466c1675e96dcf1787edd85f",
+    ),
+    "power": (
+        ["power", "--n", "30000", "--replicates", "500", "--seed", "42"],
+        "a129e0283d1ce617a55f3f63cb69ebd0a9803da9944f4e780bcbd099ec5da7a9",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", README_REPORTS.values(), ids=README_REPORTS)
+def test_readme_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, args, digest):
+    """Written to standard output from the working directory, so that
+    ``config.input`` is the relative path ``t3.csv``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t3.csv").write_text(README_TABLE, encoding="utf-8")
+    assert main(args + ["--input", "t3.csv", "--format", "counts"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCliDeterminism:
