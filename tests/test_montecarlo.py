@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -325,6 +326,38 @@ class TestNormalityStudy:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _reference_ks(sorted_values):
+    """The KS distance with the c.d.f. from ``statistics.NormalDist``."""
+    r = sorted_values.size
+    phi = np.array([NormalDist().cdf(float(t)) for t in sorted_values])
+    upper = np.abs(np.arange(1, r + 1) / r - phi)
+    lower = np.abs(np.arange(0, r) / r - phi)
+    return float(np.maximum(upper, lower).max())
+
+
+class TestKsDistance:
+    """The inlined normal c.d.f. gives NormalDist's KS distance bit for bit."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 8.5, -8.5, 40.0, -40.0]
+
+    def test_single_values(self):
+        # One value t alone gives max(phi(t), 1 - phi(t)), which is phi(t)
+        # itself for t > 0; seeded values show a last-bit change of phi.
+        seeded = np.random.default_rng(17).standard_normal(500)
+        for value in [*self.SPECIAL, *seeded.tolist(), *np.abs(seeded).tolist()]:
+            values = np.array([value])
+            assert _bits(montecarlo._ks_distance(values)) == _bits(_reference_ks(values)), value
+
+    def test_special_values_together(self):
+        values = np.sort(np.array(self.SPECIAL))
+        assert _bits(montecarlo._ks_distance(values)) == _bits(_reference_ks(values))
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_seeded_normals(self, scale):
+        values = np.sort(scale * np.random.default_rng(17).standard_normal(2000))
+        assert _bits(montecarlo._ks_distance(values)) == _bits(_reference_ks(values))
+
+
 class TestRejectionRate:
     def test_power_approaches_one(self, demo_z):
         rate = rejection_rate(demo_z, 30000, 100, 0.05, RngSpec(42))
@@ -446,6 +479,11 @@ def _run_variance_replicates(z, value):
     return variance_check(z, 1000, value, "mi", RngSpec(0))
 
 
+def _run_replicate_sizes(z, value):
+    # One odd size among plain ints leaves the one-pass check of plain ints.
+    return montecarlo._replicates(z, [1000] * 5 + [value], RngSpec(0), np.transpose)
+
+
 def _values(result):
     if dataclasses.is_dataclass(result):
         return [getattr(result, f.name) for f in dataclasses.fields(result)]
@@ -464,6 +502,7 @@ class TestIntegerCounts:
         "power replicates": (_run_power_replicates, 20, "replicates"),
         "variance n": (_run_variance_n, 1000, "sample size"),
         "variance replicates": (_run_variance_replicates, 10, "replicates"),
+        "replicate sizes": (_run_replicate_sizes, 1000, "sample size"),
     }
 
     @pytest.mark.parametrize("study", list(STUDIES))
@@ -712,20 +751,22 @@ def _old_substream(self, stream):
 
 
 class TestSeedBlocks:
-    """Substream seeds derived 256 at a time are numpy's, bit for bit."""
+    """Substream seeds derived a block at a time are numpy's, bit for bit."""
 
     def test_block_rows_match_seed_sequence(self, monkeypatch):
         rng = np.random.default_rng(11)
+        block = montecarlo._BLOCK
+        size = math.ceil(10**4 / block) * block  # whole blocks, at least 10^4 keys
         special = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
         keys = np.concatenate([
             np.array(special, dtype=np.uint64),
             np.arange(1000, dtype=np.uint64),  # one 32-bit word
             rng.integers(0, 2**32, 1000, dtype=np.uint64),
-            rng.integers(0, 2**64 - 1, 40 * 256 - 2008, dtype=np.uint64, endpoint=True),
+            rng.integers(0, 2**64 - 1, size - 2008, dtype=np.uint64, endpoint=True),
         ])
         monkeypatch.setattr(montecarlo, "_substream_key", lambda seed, streams: keys[streams])
         got = np.concatenate(
-            [montecarlo._seed_block.__wrapped__(0, b) for b in range(keys.size // 256)]
+            [montecarlo._seed_block.__wrapped__(0, b) for b in range(keys.size // block)]
         )
         expected = np.array(
             [np.random.SeedSequence(int(k)).generate_state(4, np.uint64) for k in keys]
@@ -736,14 +777,17 @@ class TestSeedBlocks:
     @pytest.mark.parametrize("seed", [0, 123, 2**63, 2**64 - 1])
     def test_substream_state_matches_seeding_from_the_key(self, seed):
         rng = RngSpec(seed)
-        for stream in [*range(1101), 2**32, 2**64 - 1]:  # crosses block edges
+        block = montecarlo._BLOCK
+        edges = [block - 1, block, block + 1, 2 * block]
+        montecarlo._seed_block.cache_clear()
+        for stream in [*range(1101), *edges, 2**32, 2**64 - 1]:
             assert rng.substream(stream).bit_generator.state == (
                 _old_substream(rng, stream).bit_generator.state
             ), stream
 
     def test_block_is_read_only(self):
         block = montecarlo._seed_block(0, 0)
-        assert block.shape == (256, 4) and not block.flags.writeable
+        assert block.shape == (montecarlo._BLOCK, 4) and not block.flags.writeable
 
     @pytest.mark.parametrize(
         "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]
