@@ -123,6 +123,10 @@ def confidence_interval(
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(
+            f"alpha must exceed 2**-53, below which 1 - alpha/2 rounds to 1, got {alpha}"
+        )
     half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance / n)
     return estimate - half, estimate + half
 

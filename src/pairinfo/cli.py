@@ -116,6 +116,10 @@ _KNOWN_LINES = 1 << 16
 _WINDOW = 63
 _LOOKUP_LINES = 1024
 _BOM = b"\xef\xbb\xbf"
+# The ids of the blank lines, without their newline, in _KnownLines, and
+# the id of the first line met, after id 0 and the blank lines.
+_BLANK_IDS = {b"": 1, b"\r": 2}
+_FIRST_ID = 1 + len(_BLANK_IDS)
 # Odd multipliers of a line's hash, one per 8-byte word of its key.
 _MULTIPLIERS = np.array([
     0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93,
@@ -215,8 +219,8 @@ def _keys(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list:
     one-word key is its own hash.  Words are read in place, past the line's
     end too, so ``view`` must hold 64 bytes more than its last line.
     """
-    width = min(8, int(lengths.max()) // 8 + 1)
-    shortest = int(lengths.min()) + 1
+    width = min(8, int(lengths.max(initial=0)) // 8 + 1)
+    shortest = int(lengths.min(initial=_WINDOW)) + 1
     # The word that starts at each byte of the view.
     at = np.ndarray((view.size - 7,), "<u8", view, strides=(1,))
     rows = [at[starts]] + [at[starts + 8 * j] for j in range(1, width)]
@@ -242,41 +246,59 @@ class _KnownLines:
     ``h``, ``h ^ 1``, ..., ``h ^ reach``, where ``reach`` is the farthest
     any line went.  Slots are emptied only when the table grows, and then
     every line takes one again, so each line has one while any is free.
-    Id 0 is no line: its key, 8 newlines, is that of none.
+    Id 0 is no line: its key, 8 newlines, is that of none.  The blank
+    lines are held from the start, so they are found like lines met
+    before and never looked up.
     """
 
     def __init__(self):
-        self.ids: dict[bytes, int] = {}
+        self.ids: dict[bytes, int] = dict(_BLANK_IDS)
+        # The keys of id 0, a line of 7 newlines, and of the blank lines.
+        view = np.frombuffer(b"\n" * 8 + b"\r\n".ljust(72, b"\0"), np.uint8)
         self.words = np.zeros((1, 64), np.uint64)
-        self.words[0, 0] = 0x0A0A0A0A0A0A0A0A * int(_MULTIPLIERS[0]) % (1 << 64)
-        self._slot(_slot_bits(0))
+        self.words[0, :3] = _keys(view, np.array([0, 7, 8]), np.array([7, 0, 1]))[0]
+        self._grow(_slot_bits(len(self.ids)))
 
-    def _slot(self, bits: int):
-        """Empty the table and make it ``2**bits`` slots."""
+    def _grow(self, bits: int):
+        """Empty the table, make it ``2**bits`` slots and give every line a
+        slot again; where lines share a free slot, the first one met wins."""
         self.slots = np.zeros(1 << bits, np.int32)
         self.shift = np.uint64(64 - bits)
         self.reach = 0
+        ids = np.flatnonzero(self.words.any(axis=0))[1:]
+        ids, home = ids[::-1], self._slots(list(self.words[:, ids]))[::-1]
+        for step in range(self.slots.size):
+            if not ids.size:
+                break
+            self.reach = step
+            slots = home ^ step
+            free = self.slots.take(slots) == 0
+            self.slots[slots[free]] = ids[free]
+            left = self.slots.take(slots) != ids
+            ids, home = ids[left], home[left]
 
     def find(self, view: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-        """The id of each line of ``view`` that the table holds, or 0, and
-        the index of each line of id 0.  The hash only picks the slots
-        searched: a line is found only if one holds the id of its key."""
+        """The id of each line of ``view`` that the table holds, or 0, the
+        index of each line of id 0, and the keys of those lines.  The hash
+        only picks the slots searched: a line is found only if one holds
+        the id of its key."""
         rows = _keys(view, starts, lengths)
         ids = self._slots(rows)
         # Ids as intp, which every later take and count needs.
         ids[...] = self.slots.take(ids)
         missing = np.flatnonzero(~self._same(ids, rows))
         ids[missing] = 0
+        rows = [row[missing] for row in rows]
         # A line whose slot holds another line may be in the slots after it.
         if missing.size and self.reach:
-            rows = [row[missing] for row in rows]
             steps = np.arange(1, self.reach + 1)[:, None]
             held = self.slots.take(self._slots(rows) ^ steps)
             # Each line is in one slot at most.
             found = (held * self._same(held, rows)).sum(axis=0)
             ids[missing] = found
-            missing = missing[found == 0]
-        return ids, missing.astype(starts.dtype)
+            left = np.flatnonzero(found == 0)
+            missing, rows = missing[left], [row[left] for row in rows]
+        return ids, missing.astype(starts.dtype), rows
 
     def _slots(self, rows: list) -> np.ndarray:
         """The slot where the search for each key of ``rows`` starts."""
@@ -293,63 +315,50 @@ class _KnownLines:
             same &= kept.take(ids) == row
         return same
 
-    def add(self, view: np.ndarray, starts: np.ndarray, lengths: np.ndarray, ids):
-        """Keep the new lines ``ids`` of ``view`` that fit the window, each
-        in the first free slot of its search."""
-        fits = lengths <= _WINDOW
-        if not fits.any():
-            return
-        ids, rows = ids[fits], _keys(view, starts[fits], lengths[fits])
-        count = len(self.ids)
-        size = self.words.shape[1] if count < self.words.shape[1] else 2 * (count + 1)
-        width = max(len(self.words), len(rows))
-        if (width, size) != self.words.shape:
-            old = self.words
-            self.words = np.zeros((width, size), np.uint64)
-            self.words[: old.shape[0], : old.shape[1]] = old
+    def add(self, ids: list, rows: list):
+        """Keep the new lines ``ids``, whose keys are ``rows``, and give
+        each the first free slot of its search, in the order they are met."""
+        count, (width, size) = len(self.ids), self.words.shape
+        if count >= size or len(rows) > width:
+            shape = max(width, len(rows)), max(size, 2 * count)
+            old, self.words = self.words, np.zeros(shape, np.uint64)
+            self.words[:width, :size] = old
         for kept, row in zip(self.words, rows):
             kept[ids] = row
         bits = _slot_bits(count)
         if 1 << bits != self.slots.size:
-            self._slot(bits)
-            ids = np.flatnonzero(self.words.any(axis=0))[1:]
-            rows = list(self.words[:, ids])
-        # Where lines share a free slot, the first one met takes it.
-        ids, home = ids[::-1], self._slots(rows)[::-1]
-        for step in range(self.slots.size):
-            if not ids.size:
-                break
-            self.reach = max(self.reach, step)
-            slots = home ^ step
-            free = self.slots.take(slots) == 0
-            self.slots[slots[free]] = ids[free]
-            left = self.slots.take(slots) != ids
-            ids, home = ids[left], home[left]
+            return self._grow(bits)
+        # Past the first chunks, a chunk meets a few new lines, which cost
+        # less one at a time than in the numpy step loop of _grow.
+        slots, size = memoryview(self.slots), self.slots.size
+        for number, home in zip(ids, self._slots(rows).tolist()):
+            step = 0
+            while step < size and slots[home ^ step]:
+                step += 1
+            if step < size:
+                slots[home ^ step] = number
+                self.reach = max(self.reach, step)
 
 
 def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
     """The ids of the lines ``data[start : start + length]``, looked up one
-    at a time in ``known.ids``.
-
-    These are the lines the table did not find: new lines, lines longer
-    than the window, and, only while no slot is free, other lines.  New
-    lines take the next ids in the order they are met.  Also returns where
-    each new line is first met, and its bytes.
-    """
+    at a time in ``known.ids``: lines the table did not find, which are new
+    lines, lines over the window and, only while no slot is free, others.
+    New lines take the next ids in the order they are met.  Also returns
+    the index of each new line that fits the window, and the bytes of
+    every new line."""
     ids = known.ids
-    count = len(ids)
-    found = np.array(
-        [
-            ids.setdefault(data[at : at + size], len(ids) + 1)
-            for at, size in zip(starts.tolist(), lengths.tolist())
-        ],
-        np.int32,
-    )
-    # Ids grow in the order lines are first met.
-    numbers, first = np.unique(found, return_index=True)
-    new = first[numbers > count]
-    met = list(islice(reversed(ids), len(ids) - count))[::-1]
-    return found, new, met
+    found, fresh, met = [], [], []
+    for index, (at, size) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        line = data[at : at + size]
+        number = ids.get(line)
+        if number is None:
+            number = ids[line] = len(ids) + 1
+            met.append(line)
+            if size <= _WINDOW:
+                fresh.append(index)
+        found.append(number)
+    return found, fresh, met
 
 
 def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
@@ -380,40 +389,35 @@ def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
 
 def _tallied_chunk(known: _KnownLines, buffer: bytearray, end: int, head: int):
     """How many lines of ``buffer[:end]`` have each id in ``known``, how
-    many lines it holds, and the bytes of its first ``head`` lines and then
-    of each line met for the first time, which ``known`` now holds too.
-
-    Blank lines and the ``head`` lines have id 0: the table, empty while
-    the head is read, holds neither, and they are not looked up.
-    """
+    many lines it holds, and the bytes of its first ``head`` lines, which
+    are not looked up, then of each line met for the first time, which
+    ``known`` now holds too."""
     view = np.frombuffer(buffer, np.uint8)
     starts, lengths = _lines(view[:end])
-    ids, listed = known.find(view, starts, lengths)
     lines = [bytes(buffer[: lengths[0]])] if head else []
-    if listed.size:
-        # Blank lines, b"\n" and b"\r\n", are not looked up, nor the head.
-        blank = lengths[listed] <= (view[starts[listed]] == 13)
-        listed = listed[~blank & (listed >= head)]
-        data = bytes(memoryview(buffer)[:end])
+    starts, lengths = starts[head:], lengths[head:]
+    ids, listed, keys = known.find(view, starts, lengths)
+    data = bytes(memoryview(buffer)[:end]) if listed.size else b""
     count = len(known.ids)
     for at in range(0, listed.size, _LOOKUP_LINES):
         part = listed[at : at + _LOOKUP_LINES]
+        part_keys = [row[at : at + _LOOKUP_LINES] for row in keys]
         if len(known.ids) > count:
             # The lines left may repeat those just met.
-            ids[part], missing = known.find(view, starts[part], lengths[part])
+            ids[part], missing, part_keys = known.find(view, starts[part], lengths[part])
             part = part[missing]
-        found, first, met = _listed_ids(known, data, starts[part], lengths[part])
+        found, fresh, met = _listed_ids(known, data, starts[part], lengths[part])
         ids[part] = found
-        first = part[first]
-        known.add(view, starts[first], lengths[first], ids[first])
+        known.add([found[i] for i in fresh], [row[fresh] for row in part_keys])
         lines += met
-    return np.bincount(ids, minlength=len(known.ids) + 1), ids.size, lines
+    return np.bincount(ids, minlength=len(known.ids) + 1), ids.size + head, lines
 
 
 def _tallied_cells(tally: np.ndarray, xs: list[int], ys: list[int]):
-    """``(x indices, y indices, repeats)`` of the lines counted in
-    ``tally`` by id; the line of id ``i`` is in cell ``(xs[i], ys[i])``."""
-    return np.array(xs[1:], np.intp), np.array(ys[1:], np.intp), tally[1 : len(xs)]
+    """``(x indices, y indices, repeats)`` of the lines counted in ``tally``
+    by id; the line of id ``i >= _FIRST_ID`` is in cell ``(xs[i], ys[i])``."""
+    cells = slice(_FIRST_ID, len(xs))
+    return np.array(xs[cells], np.intp), np.array(ys[cells], np.intp), tally[cells]
 
 
 def _cell_batches(
@@ -426,20 +430,20 @@ def _cell_batches(
     whose table is searched in numpy for every line of the chunk at once.
     New lines and lines over ``_WINDOW`` bytes are looked up one by one
     with :func:`_listed_ids`, and only new lines are decoded and parsed,
-    each into a cell.  The tallied cells are
-    yielded at the end of the stream, or once the tally holds over
-    ``_KNOWN_LINES`` distinct lines, when it starts afresh so that memory
-    stays bounded.  From the first chunk past the first where over a
-    quarter of the lines are new, or that holds a line that is neither
-    blank nor one whole UTF-8 record of two fields, the tally of the
-    chunks before it is yielded and the rest of the stream is decoded a
-    chunk at a time and walked record by record with :func:`_rows`, which
-    reads quoted fields that span lines and raises the ``line N:`` errors.
-    New labels are appended to ``x_order`` and ``y_order`` in
-    first-appearance order.
+    each into a cell.  The tallied cells are yielded at the end of the
+    stream, or once the tally holds over ``_KNOWN_LINES`` distinct lines,
+    when it starts afresh so that memory stays bounded.  From the first
+    chunk past the first where over a quarter of the lines are new, or that
+    holds a line that is neither blank nor one whole UTF-8 record of two
+    fields, the tally of the chunks before it is yielded and the rest of
+    the stream is decoded a chunk at a time and walked record by record
+    with :func:`_rows`, which reads quoted fields that span lines and
+    raises the ``line N:`` errors.  New labels are appended to ``x_order``
+    and ``y_order`` in first-appearance order.
     """
     known = _KnownLines()
-    xs, ys = [0], [0]  # the cell of each id, after a stand-in for id 0
+    # The cell of each id, after stand-ins for those below _FIRST_ID.
+    xs, ys = [0] * _FIRST_ID, [0] * _FIRST_ID
     tally = np.zeros(1, np.int64)
     read = 0  # lines read so far, each one whole record
     chunks = _chunks(stream)
@@ -471,7 +475,7 @@ def _cell_batches(
         if len(known.ids) > _KNOWN_LINES:
             yield _tallied_cells(tally, xs, ys)
             known = _KnownLines()
-            xs, ys = [0], [0]
+            xs, ys = [0] * _FIRST_ID, [0] * _FIRST_ID
             tally = np.zeros(1, np.int64)
     yield _tallied_cells(tally, xs, ys)
 
@@ -485,21 +489,17 @@ def parse_pairs_csv(
     buffer) of UTF-8 text; a byte order mark at its start is dropped.
     Returns the alphabets in first-appearance order and an int64 vector of
     ``rows * cols`` counts, where cell ``cols * x + y`` counts the rows
-    with x label index ``x`` and y label index ``y``.  Bytes are read in
-    64 KiB chunks of whole lines, and a line of up to 63 bytes that
-    repeats one met before is counted in numpy, through a table that holds
-    each such line; a line is decoded and parsed only when it is first
-    met, and the counts reach the table of cells when the stream ends or
-    the tally, grown past ``_KNOWN_LINES`` distinct lines, starts afresh.
-    From a chunk of many new lines, or one holding a line that is not one
-    whole record (a quoted label that spans lines, a ragged row, a
-    carriage return inside a line), the rest is decoded and read record by
-    record, with the same result and ``line N:`` errors, and one line on
-    the ``pairinfo`` logger says where and why.  Invalid UTF-8 raises
-    ``UnicodeDecodeError``, unless a bad record comes before it in the
-    file, whatever the chunk size.  No per-row list is kept, so memory grows with
-    the table, not the rows.  The stream is read once, from its current
-    position, and need not be seekable.
+    with x label index ``x`` and y label index ``y``.  A line is decoded
+    and parsed only when it is first met, and repeats are counted in numpy
+    (:func:`_cell_batches`).  From a chunk of many new lines, or one
+    holding a line that is not one whole record (a quoted label that spans
+    lines, a ragged row, a carriage return inside a line), the rest is
+    decoded and read record by record, with the same result and ``line
+    N:`` errors, and one line on the ``pairinfo`` logger says where and
+    why.  Invalid UTF-8 raises ``UnicodeDecodeError``, unless a bad record
+    comes before it in the file, whatever the chunk size.  No per-row list
+    is kept, so memory grows with the table, not the rows.  The stream is
+    read once, from its current position, and need not be seekable.
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}

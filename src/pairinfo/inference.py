@@ -227,6 +227,10 @@ def lrt_threshold(shape: PairShape, alpha: float) -> tuple[int, float]:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(
+            f"alpha must exceed 2**-54, below which 1 - alpha rounds to 1, got {alpha}"
+        )
     r, s = shape.rows, shape.cols
     if r < 2 or s < 2:
         raise ValueError(

@@ -58,7 +58,7 @@ from .measures import (
     mutual_information,
     mutual_information_rows,
 )
-from .pmf import ZPmf, _integer, z_vector
+from .pmf import _INT64_MAX, ZPmf, _integer, z_vector
 
 # Not called by the studies, but perfbench/tracing.py rebinds them here.
 from .inference import independence_test  # noqa: F401
@@ -323,10 +323,12 @@ def _replicates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable
     """
     if not set(map(type, sizes)) <= {int}:
         sizes = [_integer(n, "sample size") for n in sizes]
+    # Checked before int64 holds them, which past its range would overflow.
+    if min(sizes, default=1) < 1 or max(sizes, default=1) > _INT64_MAX:
+        bad = next(n for n in sizes if not 1 <= n <= _INT64_MAX)
+        bound = "at least 1" if bad < 1 else f"at most {_INT64_MAX}"
+        raise ValueError(f"sample size must be {bound}, got {bad}")
     sizes = np.array(sizes, dtype=np.int64)
-    bad = sizes[sizes < 1]
-    if bad.size:
-        raise ValueError(f"sample size must be at least 1, got {bad[0]}")
     probs = z_vector(p)
     support = np.flatnonzero(probs)
     weights = probs[: support[-1] + 1] / probs[support].sum()

@@ -195,6 +195,16 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="sample size"):
             confidence_interval(0.0, 1.0, 0, 0.05)
 
+    def test_alpha_too_small_to_use(self):
+        """Below 2**-53, 1 - alpha/2 rounds to 1; just above it the interval
+        is finite."""
+        with pytest.raises(ValueError, match=r"^alpha must exceed 2\*\*-53, .* got 1e-17$"):
+            confidence_interval(0.0, 1.0, 10, 1e-17)
+        with pytest.raises(ValueError, match="alpha must exceed"):
+            confidence_interval(0.0, 1.0, 10, 2.0**-53)
+        lo, hi = confidence_interval(0.0, 1.0, 10, float(np.nextafter(2.0**-53, 1.0)))
+        assert math.isfinite(hi) and lo == -hi
+
 
 class TestEstimateReport:
     def test_fields_and_interval_invariant(self, demo_emp):

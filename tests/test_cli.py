@@ -87,6 +87,24 @@ def _adverse_text(lines: int) -> str:
     return "".join(ADVERSE_LINES[i] for i in picks)
 
 
+@functools.lru_cache(maxsize=None)
+def _trickle_text(seed: int, lines: int) -> str:
+    """``lines`` lines of a 50x54 table whose cells have Zipf-like weights,
+    so that its rare cells are first met in late chunks, two or three at
+    a time.  Lines of ``ADVERSE_LINES`` are spliced into its second half,
+    and for odd seeds one input of ``RECORD_WALK_INPUTS`` too."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1.0, 2701.0) ** rng.uniform(1.4, 2.4)
+    cells = rng.permutation(2700)[rng.choice(2700, lines, p=weights / weights.sum())]
+    text = [f"x{cell // 54:02d},y{cell % 54:02d}\n" for cell in cells.tolist()]
+    late = [ADVERSE_LINES[i] for i in rng.integers(len(ADVERSE_LINES), size=8)]
+    if seed % 2:
+        late.append(RECORD_WALK_INPUTS[rng.integers(len(RECORD_WALK_INPUTS))])
+    for line in late:
+        text.insert(rng.integers(lines // 2, lines), line)
+    return "".join(text)
+
+
 class _Pipe(io.RawIOBase):
     """Bytes that can be read once but not sought, like a pipe."""
 
@@ -283,6 +301,19 @@ class TestParsePairsCsv:
         assert peak < 1_000_000
 
 
+class TestTrickleFuzz:
+    """A seeded differential fuzz against the record walk, on texts whose
+    new lines trickle in, at chunk sizes from one line to the default."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trickling_lines_match_the_record_walk(self, seed, monkeypatch):
+        text = _trickle_text(seed, 24_000)
+        for block_bytes in (7, 64, 1000, 65536):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            for header in (False, True):
+                assert _parsed(text, header) == _walked(text, header), (block_bytes, header)
+
+
 class TestKnownLineTable:
     """Lines that repeat are counted through a hash table, and the hash
     only picks a slot: every count must match the record walk's."""
@@ -291,12 +322,14 @@ class TestKnownLineTable:
     @pytest.mark.parametrize(
         "text",
         [_adverse_text(3000), "abcdefgh,p\nabcdefgh,q\nabcdefgh,p\r\n" * 400]
-        + [LAYOUTS["among_repeats"].format(t) for t in RECORD_WALK_INPUTS],
+        + [LAYOUTS["among_repeats"].format(t) for t in RECORD_WALK_INPUTS]
+        + [pytest.param(_benchmark_text(200_000), id="benchmark_lines")],
     )
     def test_every_line_collides(self, text, bits, monkeypatch):
         """A table of one or two slots, so that known lines share them, over
         texts long enough that the table is searched again, some of whose
-        lines share their first word."""
+        lines share their first word, and one whose late chunks meet two to
+        four new lines each."""
         monkeypatch.setattr(cli, "_slot_bits", lambda lines: bits)
         for header in (False, True):
             assert _parsed(text, header) == _walked(text, header)
@@ -1149,6 +1182,42 @@ class TestCliErrors:
             ["test", "--input", counts_file, "--format", "counts", "--alpha", "1.5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, bound",
+        [
+            (["estimate"], "2**-53, below which 1 - alpha/2"),
+            (["test"], "2**-54, below which 1 - alpha"),
+            (["power", "--n", "100", "--replicates", "10"], "2**-54, below which 1 - alpha"),
+        ],
+        ids=["estimate", "test", "power"],
+    )
+    def test_alpha_too_small_to_use_exits_2(self, counts_file, capsys, args, bound):
+        """An alpha whose 1 - alpha/2 or 1 - alpha rounds to 1 is blamed,
+        not the quantile level it leads to."""
+        argv = [*args, "--input", counts_file, "--format", "counts", "--alpha", "1e-17"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"alpha must exceed {bound} rounds to 1, got 1e-17" in err
+        assert "quantile level" not in err
+
+    @pytest.mark.parametrize(
+        "args, size",
+        [
+            (["normality", "--measure", "mi", "--replicates", "100",
+              "--n", "9223372036854775808"], 9223372036854775808),
+            (["power", "--replicates", "10", "--n", "99999999999999999999"],
+             99999999999999999999),
+            (["trace", "--measure", "mi",
+              "--sizes", "1:99999999999999999999:99999999999999999998"], 99999999999999999999),
+        ],
+        ids=["normality", "power", "trace"],
+    )
+    def test_sample_size_beyond_int64_exits_2(self, counts_file, capsys, args, size):
+        assert main([*args, "--input", counts_file, "--format", "counts"]) == 2
+        err = capsys.readouterr().err
+        assert f"sample size must be at most 9223372036854775807, got {size}" in err
+        assert "Traceback" not in err
 
     def test_degenerate_alphabet_exits_2(self, tmp_path, capsys):
         path = tmp_path / "one_row.csv"

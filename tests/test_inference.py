@@ -219,6 +219,16 @@ class TestIndependenceTest:
         with pytest.raises(ValueError, match="alpha"):
             independence_test(demo_emp, alpha=0.0)
 
+    def test_alpha_too_small_to_use(self, demo_emp):
+        """Below 2**-54, 1 - alpha rounds to 1; just above it the threshold
+        is finite."""
+        with pytest.raises(ValueError, match=r"^alpha must exceed 2\*\*-54, .* got 1e-17$"):
+            independence_test(demo_emp, alpha=1e-17)
+        with pytest.raises(ValueError, match="alpha must exceed"):
+            inference.lrt_threshold(PairShape(2, 2), 2.0**-54)
+        df, threshold = inference.lrt_threshold(PairShape(2, 2), float(np.nextafter(2.0**-54, 1.0)))
+        assert df == 1 and math.isfinite(threshold)
+
     def test_decision_equivalence(self):
         """reject <=> gamma > threshold <=> plug-in MI > mi_threshold."""
         rng = np.random.default_rng(77)

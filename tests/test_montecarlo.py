@@ -532,6 +532,30 @@ class TestIntegerCounts:
             run(demo_z, bad)
         assert calls == []
 
+    # A trace's grid must rise, so there the size past int64 comes last;
+    # only the studies that check n >= 1 last meet one far below it.
+    SIZE_RUNS = {
+        "trace size": lambda z, value: convergence_trace(z, [100, value], "mi", RngSpec(0)),
+        "normality n": _run_normality_n,
+        "power n": _run_power_n,
+        "variance n": _run_variance_n,
+        "replicate sizes": _run_replicate_sizes,
+    }
+
+    @pytest.mark.parametrize(
+        "study, size",
+        [(study, size) for study in SIZE_RUNS for size in (2**63, 10**20)]
+        + [(study, -(10**20)) for study in ("power n", "variance n", "replicate sizes")],
+    )
+    def test_rejects_sizes_beyond_int64_before_drawing(self, demo_z, monkeypatch, study, size):
+        """A size int64 cannot hold is a ValueError, not numpy's OverflowError."""
+        bound = "at least 1" if size < 1 else "at most 9223372036854775807"
+        calls = []
+        monkeypatch.setattr(RngSpec, "substream", lambda self, stream: calls.append(stream))
+        with pytest.raises(ValueError, match=f"^sample size must be {bound}, got {size}$"):
+            self.SIZE_RUNS[study](demo_z, size)
+        assert calls == []
+
     @pytest.mark.parametrize("study", list(STUDIES))
     def test_numpy_ints_match_python_ints(self, demo_z, study):
         run, good, _ = self.STUDIES[study]
