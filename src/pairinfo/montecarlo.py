@@ -250,17 +250,15 @@ _MEASURES: dict[str, Callable] = {
 }
 
 
-def _measure_fn(measure: str) -> Callable:
-    try:
-        return _MEASURES[measure]
-    except KeyError:
-        raise ValueError(
-            f"unknown measure {measure!r}; expected 'entropy' or 'mi'"
-        ) from None
-
-
-def _measure_variance(p: ZPmf, measure: str) -> float:
-    return entropy_variance(p) if measure == "entropy" else mi_variance(p)
+def _measure(measure: str, p: ZPmf) -> tuple[Callable, Callable, Callable]:
+    """The truth function, delta-method variance and batch kernel (on blocks
+    of ``p``'s shape) of ``measure``, read from the module at each call."""
+    if measure not in _MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected 'entropy' or 'mi'")
+    if measure == "entropy":
+        return _MEASURES[measure], entropy_variance, entropy_rows
+    kernel = functools.partial(mutual_information_rows, shape=p.shape)
+    return _MEASURES[measure], mi_variance, kernel
 
 
 # Supports of at least this many cells run their blocks on a thread pool;
@@ -351,13 +349,6 @@ def _replicates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable
     return np.concatenate(results, axis=-1)
 
 
-def _row_measure(measure: str, p: ZPmf) -> Callable:
-    """The batch kernel of ``measure`` on blocks of tables of ``p``'s shape."""
-    if measure == "entropy":
-        return entropy_rows
-    return functools.partial(mutual_information_rows, shape=p.shape)
-
-
 @dataclass(frozen=True)
 class ConvergenceTrace:
     """Estimates and error diagnostics along growing sample sizes."""
@@ -375,7 +366,7 @@ def convergence_trace(
     p: ZPmf, sizes: Sequence[int], measure: str, rng: RngSpec
 ) -> ConvergenceTrace:
     """Fresh-sample estimates at each size; size index keys the substream."""
-    fn = _measure_fn(measure)
+    truth_fn, _, kernel = _measure(measure, p)
     sizes = [_integer(n, "sample size") for n in sizes]
     if not sizes:
         raise ValueError("sizes must be nonempty")
@@ -383,9 +374,8 @@ def convergence_trace(
         raise ValueError(f"sizes must be >= 1, got {sizes[0]}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    truth = fn(p)
+    truth = truth_fn(p)
     probs = z_vector(p)
-    kernel = _row_measure(measure, p)
 
     def statistic(freqs: np.ndarray) -> np.ndarray:
         return np.stack((kernel(freqs), np.abs(freqs - probs).max(axis=1)))
@@ -451,7 +441,7 @@ def normality_study(
     Logs a warning on the ``pairinfo`` logger when the plug-in bias at
     ``p`` exceeds the standard error, which shifts the t values.
     """
-    fn = _measure_fn(measure)
+    truth_fn, variance, kernel = _measure(measure, p)
     n = _integer(n, "sample size")
     replicates = _integer(replicates, "replicates")
     if n < 1000:
@@ -460,8 +450,8 @@ def normality_study(
         raise ValueError(
             f"normality study needs at least 100 replicates, got {replicates}"
         )
-    truth = fn(p)
-    sigma_sq = _measure_variance(p, measure)
+    truth = truth_fn(p)
+    sigma_sq = variance(p)
     # A variance within rounding of the k weights is 0, as MI's is at
     # independence (5.2e-33 on outer([0.3, 0.7], [0.4, 0.6])).
     if sigma_sq <= (p.shape.size * np.finfo(float).eps) ** 2:
@@ -487,7 +477,7 @@ def normality_study(
             "warning: plug-in %s bias at the true p.m.f. is %.3g standard errors "
             "at n = %d; the t values centre near it, not 0", measure, ratio, n,
         )
-    estimates = _replicates(p, [n] * replicates, rng, _row_measure(measure, p))
+    estimates = _replicates(p, [n] * replicates, rng, kernel)
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
@@ -529,7 +519,8 @@ def rejection_rate(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     _, threshold = lrt_threshold(p.shape, alpha)
-    mi = _replicates(p, [n] * replicates, rng, _row_measure("mi", p))  # checks n
+    _, _, kernel = _measure("mi", p)
+    mi = _replicates(p, [n] * replicates, rng, kernel)  # checks n
     statistics = 2.0 * n * mi  # as lrt_statistic computes it
     return int((statistics > threshold).sum()) / replicates
 
@@ -550,14 +541,14 @@ def variance_check(
 ) -> VarianceCheck:
     """Monte Carlo variance of the sqrt(n)-scaled estimator next to the
     delta-method variance at the true p.m.f."""
-    _measure_fn(measure)  # an unknown measure fails before any draw
+    _, variance, kernel = _measure(measure, p)  # an unknown measure fails here
     replicates = _integer(replicates, "replicates")
     if replicates < 2:
         raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
-    estimates = _replicates(p, [n] * replicates, rng, _row_measure(measure, p))
+    estimates = _replicates(p, [n] * replicates, rng, kernel)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),
-        canonical=_measure_variance(p, measure),
+        canonical=variance(p),
     )
 
 

@@ -1140,6 +1140,35 @@ def test_readme_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, args, di
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# A 30x30 table of positive counts that is not a product table: its 900
+# cells, past montecarlo._POOL_MIN_CELLS, send the studies' blocks to the
+# thread pool on a host with two or more CPUs, and its MI kernel is the
+# shaped partial of a wide table.  The bytes do not depend on the number of
+# CPUs, so the digests, taken at commit 676d496 before the studies' three
+# measure lookups became one, hold on any host.
+POOLED_TABLE = "".join(
+    f"x{i},y{j},{1 + (7 * i + 13 * j) % 50}\n" for i in range(30) for j in range(30)
+)
+POOLED_REPORTS = {
+    "normality": (
+        ["normality", "--measure", "mi", "--n", "20000", "--replicates", "200", "--seed", "3"],
+        "0a428b61e397152243bc2a0962e2bf320da1549dec86b5428def8fff12cd78c9",
+    ),
+    "power": (
+        ["power", "--n", "20000", "--replicates", "200", "--seed", "3"],
+        "580c7f533aba38d615d42c873e0e1ec36b072844a724178cafa1b384f2f888f9",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", POOLED_REPORTS.values(), ids=POOLED_REPORTS)
+def test_pooled_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, args, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.csv").write_text(POOLED_TABLE, encoding="utf-8")
+    assert main(args + ["--input", "wide.csv", "--format", "counts"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestCliDeterminism:
     def test_identical_config_gives_identical_bytes(self, counts_file, capsys):
         args = [

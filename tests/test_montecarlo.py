@@ -21,9 +21,11 @@ from pairinfo import (
     ZPmf,
     chi_square_quantile,
     convergence_trace,
+    entropy_variance,
     estimate_pmf,
     independence_test,
     joint_entropy,
+    mi_variance,
     mutual_information,
     normal_quantile,
     normality_study,
@@ -297,7 +299,7 @@ class TestNormalityStudy:
     def test_product_mi_is_degenerate(self, rows, cols):
         table = np.outer(rows, cols)
         z = ZPmf(table.ravel(), PairShape(*table.shape))
-        assert 0 < montecarlo._measure_variance(z, "mi") < 1e-30
+        assert 0 < mi_variance(z) < 1e-30
         with pytest.raises(ValueError, match="degenerate CLT"):
             normality_study(z, 2000, 200, "mi", RngSpec(1))
 
@@ -430,6 +432,23 @@ class TestVarianceCheck:
         z = ZPmf(probs, PairShape(side, side), renormalize=True)
         check = variance_check(z, 20000, 1000, measure, RngSpec(7))
         assert abs(check.empirical / check.canonical - 1) <= 0.10
+
+
+UNKNOWN_MEASURE_RUNS = {
+    "trace": lambda z: convergence_trace(z, [100, 1000], "kl", RngSpec(0)),
+    "normality": lambda z: normality_study(z, 2000, 200, "kl", RngSpec(0)),
+    "variance": lambda z: variance_check(z, 1000, 10, "kl", RngSpec(0)),
+}
+
+
+@pytest.mark.parametrize("run", UNKNOWN_MEASURE_RUNS.values(), ids=UNKNOWN_MEASURE_RUNS)
+def test_unknown_measure_fails_before_drawing(demo_z, monkeypatch, run):
+    def failing(self, stream):
+        raise AssertionError(f"substream {stream} built")
+
+    monkeypatch.setattr(RngSpec, "substream", failing)
+    with pytest.raises(ValueError, match="^unknown measure 'kl'; expected 'entropy' or 'mi'$"):
+        run(demo_z)
 
 
 class TestReplicateKeying:
@@ -863,6 +882,7 @@ def _per_replicate(p, sizes, seed):
 
 
 _SCALAR = {"entropy": joint_entropy, "mi": mutual_information}
+_VARIANCE = {"entropy": entropy_variance, "mi": mi_variance}
 
 
 def _reference_trace(p, sizes, measure, seed):
@@ -883,7 +903,7 @@ def _reference_trace(p, sizes, measure, seed):
 def _reference_normality(p, n, replicates, measure, seed):
     fn = _SCALAR[measure]
     truth = fn(p)
-    sigma = math.sqrt(montecarlo._measure_variance(p, measure))
+    sigma = math.sqrt(_VARIANCE[measure](p))
     estimates = np.array([fn(emp) for emp in _per_replicate(p, [n] * replicates, seed)])
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
@@ -907,7 +927,7 @@ def _reference_variance(p, n, replicates, measure, seed):
     fn = _SCALAR[measure]
     estimates = np.array([fn(emp) for emp in _per_replicate(p, [n] * replicates, seed)])
     return montecarlo.VarianceCheck(
-        float(n * estimates.var(ddof=1)), montecarlo._measure_variance(p, measure)
+        float(n * estimates.var(ddof=1)), _VARIANCE[measure](p)
     )
 
 
