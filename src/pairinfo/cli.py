@@ -815,25 +815,53 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", required=True, help="input CSV path")
-    sub.add_argument(
-        "--format",
+# Every flag's spec; each command's help and its flags after the four of
+# input and output, in the order its help lists them; and what a command
+# changes of a flag's spec.
+_FLAGS = {
+    "--input": dict(required=True, help="input CSV path"),
+    "--format": dict(
         required=True,
         choices=("pairs", "counts"),
         help="input layout: one observation per row, or one cell count per row",
-    )
-    sub.add_argument(
-        "--header",
+    ),
+    "--header": dict(
         action="store_true",
         help="skip the first input row (header detection is never automatic)",
-    )
-    sub.add_argument(
-        "--output", default="-", help="report path, or - for standard output"
-    )
+    ),
+    "--output": dict(default="-", help="report path, or - for standard output"),
+    "--alpha": dict(type=float, default=0.05, help="test level (default 0.05)"),
+    "--measure": dict(required=True, choices=("entropy", "mi")),
+    "--sizes": dict(required=True, help="sample-size grid start:stop:step (stop inclusive)"),
+    "--n": dict(type=int, required=True, help="sample size per replicate"),
+    "--replicates": dict(type=int, required=True),
+    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--output-format": dict(choices=("json", "csv")),
+}
+_COMMANDS = {
+    "estimate": ("entropy and MI with confidence intervals", "--alpha"),
+    "test": ("likelihood-ratio independence test", "--alpha"),
+    "trace": ("convergence trace over sample sizes", "--measure --sizes --seed --output-format"),
+    "normality": (
+        "standardized estimates vs N(0,1)",
+        "--measure --n --replicates --seed --output-format",
+    ),
+    "power": ("test rejection rate under the ingested p.m.f.", "--n --replicates --alpha --seed"),
+}
+_CHANGES = {
+    ("estimate", "--alpha"): dict(help="CI level (default 0.05)"),
+    ("trace", "--output-format"): dict(default="csv", help="csv rows (default) or a json report"),
+    ("normality", "--output-format"): dict(
+        default="json", help="json report (default) or csv rows of T values and QQ pairs"
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, when ``command`` names one, of that
+    one alone, which reads its arguments and spells its usage and errors as
+    the full parser does.  On a small table the other four would cost a
+    call more than its study."""
     parser = _Parser(
         prog="pairinfo",
         description=(
@@ -842,46 +870,16 @@ def build_parser() -> argparse.ArgumentParser:
             "independence test, and seeded Monte Carlo studies."
         ),
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    est = commands.add_parser("estimate", help="entropy and MI with confidence intervals")
-    _add_io_flags(est)
-    est.add_argument("--alpha", type=float, default=0.05, help="CI level (default 0.05)")
-
-    test = commands.add_parser("test", help="likelihood-ratio independence test")
-    _add_io_flags(test)
-    test.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
-
-    trace = commands.add_parser("trace", help="convergence trace over sample sizes")
-    _add_io_flags(trace)
-    trace.add_argument("--measure", required=True, choices=("entropy", "mi"))
-    trace.add_argument(
-        "--sizes", required=True, help="sample-size grid start:stop:step (stop inclusive)"
-    )
-    trace.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    trace.add_argument(
-        "--output-format", choices=("json", "csv"), default="csv",
-        help="csv rows (default) or a json report",
-    )
-
-    norm = commands.add_parser("normality", help="standardized estimates vs N(0,1)")
-    _add_io_flags(norm)
-    norm.add_argument("--measure", required=True, choices=("entropy", "mi"))
-    norm.add_argument("--n", type=int, required=True, help="sample size per replicate")
-    norm.add_argument("--replicates", type=int, required=True)
-    norm.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    norm.add_argument(
-        "--output-format", choices=("json", "csv"), default="json",
-        help="json report (default) or csv rows of T values and QQ pairs",
-    )
-
-    power = commands.add_parser("power", help="test rejection rate under the ingested p.m.f.")
-    _add_io_flags(power)
-    power.add_argument("--n", type=int, required=True, help="sample size per replicate")
-    power.add_argument("--replicates", type=int, required=True)
-    power.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
-    power.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # The parser of one command still lists all five in its usage line.  On
+    # the full parser a metavar would replace ``command`` in its errors.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, flags = _COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        for flag in ["--input", "--format", "--header", "--output", *flags.split()]:
+            sub.add_argument(flag, **{**_FLAGS[flag], **_CHANGES.get((name, flag), {})})
     return parser
 
 
@@ -894,7 +892,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return run(_config_from_args(args))
     except (ValueError, OSError, UnicodeDecodeError) as exc:

@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, report serialization, and the CLI commands."""
 
+import argparse
 import csv
 import dataclasses
 import functools
@@ -8,8 +9,11 @@ import io
 import json
 import logging
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1140,6 +1144,31 @@ def test_readme_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, args, di
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+README_ESTIMATE = ["estimate", "--input", "t3.csv", "--format", "counts"]
+
+
+def test_main_reads_the_process_arguments(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t3.csv").write_text(README_TABLE, encoding="utf-8")
+    assert main(README_ESTIMATE) == 0
+    given = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["pairinfo", *README_ESTIMATE])
+    assert main() == 0
+    assert capsys.readouterr().out == given
+
+
+def test_module_entry_point_writes_the_readme_report(tmp_path):
+    (tmp_path / "t3.csv").write_text(README_TABLE, encoding="utf-8")
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pairinfo", *README_ESTIMATE],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == README_REPORTS["estimate"][1]
+
+
 # A 30x30 table of positive counts that is not a product table: its 900
 # cells, past montecarlo._POOL_MIN_CELLS, send the studies' blocks to the
 # thread pool on a host with two or more CPUs, and its MI kernel is the
@@ -1323,3 +1352,83 @@ class TestCliErrors:
         )
         assert code == 2
         assert "sizes must be start:stop:step, got ''" in capsys.readouterr().err
+
+
+# Each command's required flags; the input file need not exist, since every
+# argv below fails, or asks for help, before it is read.
+REQUIRED_FLAGS = {
+    "estimate": [],
+    "test": [],
+    "trace": ["--measure", "mi", "--sizes", "1:3:1"],
+    "normality": ["--measure", "mi", "--n", "10", "--replicates", "5"],
+    "power": ["--n", "10", "--replicates", "5"],
+}
+COMPLETE = {
+    name: [name, "--input", "t3.csv", "--format", "counts", *flags]
+    for name, flags in REQUIRED_FLAGS.items()
+}
+USAGE_ARGVS = {
+    "help": ["-h"],
+    **{f"{name}_help": [name, "-h"] for name in REQUIRED_FLAGS},
+    "none": [],
+    "dashes": ["--"],
+    "unknown_command": ["frobnicate"],
+    **{f"{name}_unknown_flag": [*argv, "--bogus"] for name, argv in COMPLETE.items()},
+    "estimate_seed": [*COMPLETE["estimate"], "--seed", "3"],
+    "trace_stray_positional": [*COMPLETE["trace"], "extra"],
+    "missing_input": ["estimate", "--format", "counts"],
+    "unknown_measure": [*COMPLETE["trace"], "--measure", "kl"],
+    "bad_n": [*COMPLETE["normality"], "--n", "x"],
+    "bad_alpha": [*COMPLETE["power"], "--alpha", "x"],
+}
+
+
+def _exit(call, argv, capsys):
+    """The exit code, standard output and standard error of ``call(argv)``,
+    which must exit."""
+    with pytest.raises(SystemExit) as info:
+        call(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", USAGE_ARGVS.values(), ids=USAGE_ARGVS)
+    def test_usage_text_is_the_full_parsers(self, capsys, argv):
+        """Compared in one interpreter, so that it holds under any Python
+        version's argparse wording."""
+        full = _exit(cli.build_parser().parse_args, argv, capsys)
+        assert _exit(main, argv, capsys) == full
+        assert full[0] in (0, 64)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [([], "required: command\n"), (["frobnicate"], "argument command: invalid choice")],
+        ids=["no_command", "unknown_command"],
+    )
+    def test_errors_name_the_command_argument(self, capsys, argv, message):
+        """Where no command is named, errors call it ``command``, not by the
+        metavar that lists every command in the usage line."""
+        assert message in _exit(main, argv, capsys)[2]
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["trace", "-h"], ["trace"]),
+            ([*COMPLETE["power"], "--bogus"], ["power"]),
+            (["frobnicate"], list(REQUIRED_FLAGS)),
+            (["-h"], list(REQUIRED_FLAGS)),
+        ],
+        ids=["help", "unknown_flag", "unknown_command", "top_help"],
+    )
+    def test_a_command_builds_only_its_parser(self, capsys, monkeypatch, argv, built):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(action, name, **kwargs):
+            added.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        _exit(main, argv, capsys)
+        assert added == built
