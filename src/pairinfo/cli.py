@@ -39,10 +39,9 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .asymptotics import EstimateReport, estimate_report
+from .asymptotics import estimate_report
 from .inference import independence_test
 from .montecarlo import (
-    NormalityStudy,
     RngSpec,
     convergence_trace,
     normality_study,
@@ -585,8 +584,14 @@ def serialize_counts_csv(alphabets: LabeledAlphabets, emp: EmpiricalPmf) -> str:
     """Counts-layout CSV for an empirical table, one row per cell.
 
     Zero cells are written too, so parsing the result reproduces the
-    alphabets and counts exactly.
+    alphabets and counts exactly.  A label the reader would strip, or drop
+    as a byte order mark as the file's first bytes, raises ``ValueError``.
     """
+    for label in chain(alphabets.x_labels, alphabets.y_labels):
+        if label != label.strip():
+            raise ValueError(f"label {label!r} has leading or trailing whitespace")
+    if alphabets.x_labels[0].startswith("\ufeff"):
+        raise ValueError(f"first x label {alphabets.x_labels[0]!r} starts with U+FEFF")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     cols = emp.shape.cols
@@ -700,20 +705,6 @@ def _csv_report(config: RunConfig, comments: list[str], columns: dict) -> str:
     return "\n".join([*lines, *map(",".join, zip(*cells))]) + "\n"
 
 
-def _estimate_dict(rep: EstimateReport) -> dict:
-    out = asdict(rep)
-    del out["measure"]
-    return out
-
-
-def _normality_fields(study: NormalityStudy) -> tuple[dict, dict]:
-    """The study's scalar fields and its array fields, each in field order."""
-    scalars, arrays = {}, {}
-    for key, val in asdict(study).items():
-        (arrays if isinstance(val, np.ndarray) else scalars)[key] = val
-    return scalars, arrays
-
-
 def _ingest(config: RunConfig) -> tuple[LabeledAlphabets, EmpiricalPmf]:
     with Path(config.input).open("rb") as stream:
         if config.format == "pairs":
@@ -744,20 +735,19 @@ def run(config: RunConfig) -> int:
     alphabets, emp = _ingest(config)
     rng = RngSpec(config.seed)
     csv_out = config.output_format == "csv"
+    columns = None
     if config.command == "estimate":
-        results = {
-            measure: _estimate_dict(estimate_report(measure, emp, config.alpha))
-            for measure in ("joint_entropy", "mutual_information")
-        }
-        text = _report_json(config, alphabets, results)
+        results = {}
+        for measure in ("joint_entropy", "mutual_information"):
+            results[measure] = asdict(estimate_report(measure, emp, config.alpha))
+            del results[measure]["measure"]
     elif config.command == "test":
-        rep = independence_test(emp, config.alpha)
-        text = _report_json(config, alphabets, {"independence_test": asdict(rep)})
+        results = {"independence_test": asdict(independence_test(emp, config.alpha))}
     elif config.command == "trace":
         trace = convergence_trace(emp.as_zpmf(), config.sizes, config.measure, rng)
+        results = {"trace": asdict(trace)}
         if csv_out:
-            true_value = format(trace.true_value, ".9g")
-            comment = f"# measure: {trace.measure}, true_value: {true_value}"
+            comments = [f"# measure: {trace.measure}, true_value: {trace.true_value:.9g}"]
             columns = {
                 "size": trace.sizes,
                 "estimate": trace.estimates,
@@ -765,14 +755,14 @@ def run(config: RunConfig) -> int:
                 "a_zn": trace.a_zn,
                 "ratio": trace.ratio,
             }
-            text = _csv_report(config, [comment], columns)
-        else:
-            text = _report_json(config, alphabets, {"trace": asdict(trace)})
     elif config.command == "normality":
         study = normality_study(
             emp.as_zpmf(), config.n, config.replicates, config.measure, rng
         )
-        scalars, arrays = _normality_fields(study)
+        block = asdict(study)
+        scalars = {key: val for key, val in block.items() if not isinstance(val, np.ndarray)}
+        # The scalar fields first, then the arrays, each in field order.
+        results = {"normality": {**scalars, **block}}
         if csv_out:
             comments = [
                 "# summary: " + _json(scalars, ",", ":"),
@@ -785,9 +775,6 @@ def run(config: RunConfig) -> int:
                 "qq_theoretical": study.qq_theoretical,
                 "qq_order_statistic": study.qq_sample,
             }
-            text = _csv_report(config, comments, columns)
-        else:
-            text = _report_json(config, alphabets, {"normality": {**scalars, **arrays}})
     elif config.command == "power":
         rate = rejection_rate(
             emp.as_zpmf(), config.n, config.replicates, config.alpha, rng
@@ -800,9 +787,12 @@ def run(config: RunConfig) -> int:
                 "alpha": config.alpha,
             }
         }
-        text = _report_json(config, alphabets, results)
     else:
         raise ValueError(f"unknown command {config.command!r}")
+    if columns is None:
+        text = _report_json(config, alphabets, results)
+    else:
+        text = _csv_report(config, comments, columns)
     _emit(config, text)
     return 0
 

@@ -599,6 +599,32 @@ class TestSerializeRoundTrip:
         assert alphabets2.x_labels == ("a,b",)
         assert emp2 == emp
 
+    # The reader would read " b" as "b", fail on " a" as a duplicate of
+    # "a", and drop a first label's U+FEFF as a byte order mark.
+    @pytest.mark.parametrize(
+        "x_labels, y_labels, label",
+        [
+            (("a", " b"), ("p",), " b"),
+            (("a", " a"), ("p",), " a"),
+            (("a", "b"), ("p\t",), "p\t"),
+            (("\ufeffa", "b"), ("p",), "\ufeffa"),
+        ],
+        ids=["stripped", "duplicate_once_stripped", "stripped_y", "byte_order_mark"],
+    )
+    def test_labels_the_reader_changes_are_refused(self, x_labels, y_labels, label):
+        alphabets = LabeledAlphabets(x_labels, y_labels)
+        emp = EmpiricalPmf(np.ones(alphabets.shape.size, np.int64), alphabets.shape)
+        with pytest.raises(ValueError) as info:
+            serialize_counts_csv(alphabets, emp)
+        assert repr(label) in str(info.value)
+
+    def test_byte_order_mark_past_the_first_label_survives(self):
+        emp = EmpiricalPmf(np.array([1, 2, 3, 4]), PairShape(2, 2))
+        alphabets = LabeledAlphabets(("a", "\ufeffb"), ("\ufeffp", "q"))
+        alphabets2, emp2 = _counts(serialize_counts_csv(alphabets, emp))
+        assert (alphabets2.x_labels, alphabets2.y_labels) == (("a", "\ufeffb"), ("\ufeffp", "q"))
+        assert emp2 == emp
+
 
 class TestParseSizes:
     def test_inclusive_grid(self):
@@ -1198,6 +1224,51 @@ def test_pooled_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, args, di
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# Pairs input: the benchmark-shaped table on the table path, with and
+# without a header row, and after a quoted label that spans two lines,
+# which sends the reader to the record walk.  Digests taken at commit
+# 1d9fffc, before every report was written from one tail of cli.run.
+WALK_HEAD = '"multi\nline",p\n'
+PAIRS_REPORTS = {
+    "estimate_table": (
+        "", ["estimate"],
+        "a638563ae000ee38b5142961dc65266c3e3c63146d207e3a011329bd0086bdad",
+    ),
+    "test_table": (
+        "", ["test", "--alpha", "0.05"],
+        "b11c2fc9ececb8fe3cb94ddb09461979ad7df1298f320f500ded1b559d91090e",
+    ),
+    "estimate_table_header": (
+        "", ["estimate", "--header"],
+        "52a16b06cfbe1bfd665213eeddb0873fc59bab0e426f86b97922d825f18cf8e2",
+    ),
+    "test_table_header": (
+        "", ["test", "--alpha", "0.05", "--header"],
+        "ad1f1b2c62a178ef1f6b1bc49b3a351af602b20d8c5fc4333db71c91f15ed739",
+    ),
+    "estimate_walk": (
+        WALK_HEAD, ["estimate"],
+        "2d25334fb826de9df51d7d6d559c66003deddb21720f379c1e4b6f42e0b6f9cc",
+    ),
+    "test_walk": (
+        WALK_HEAD, ["test", "--alpha", "0.05"],
+        "21f66ee9b46c5442b7df2bf416ed4bca3889a6f1c1810a2ca54a38da89668e49",
+    ),
+}
+
+
+@pytest.mark.parametrize("head, args, digest", PAIRS_REPORTS.values(), ids=PAIRS_REPORTS)
+def test_pairs_reports_keep_their_bytes(
+    tmp_path, monkeypatch, capsys, caplog, head, args, digest
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.csv").write_bytes((head + _benchmark_text(200_000)).encode())
+    caplog.set_level(logging.INFO, logger="pairinfo")
+    assert main(args + ["--input", "pairs.csv", "--format", "pairs"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert any("walking records" in line for line in caplog.messages) == bool(head)
+
+
 class TestCliDeterminism:
     def test_identical_config_gives_identical_bytes(self, counts_file, capsys):
         args = [
@@ -1352,6 +1423,86 @@ class TestCliErrors:
         )
         assert code == 2
         assert "sizes must be start:stop:step, got ''" in capsys.readouterr().err
+
+
+# The names of cli that perfbench/tracing.py rebinds and cli calls.  Each
+# must be looked up in cli's globals at call time, or its traced metrics
+# read 0.
+CLI_LAYERS = (
+    "run", "parse_pairs_csv", "parse_counts_csv", "estimate_report",
+    "independence_test", "convergence_trace", "normality_study", "rejection_rate",
+)
+PAIRS_TABLE = "x1,y1\nx1,y2\nx2,y1\nx1,y2\nx2,y2\n"
+
+
+@pytest.mark.parametrize(
+    "args, fmt, called",
+    [
+        (["estimate"], "counts", {"parse_counts_csv": 1, "estimate_report": 2}),
+        (["estimate"], "pairs", {"parse_pairs_csv": 1, "estimate_report": 2}),
+        (["test"], "counts", {"parse_counts_csv": 1, "independence_test": 1}),
+        (
+            ["trace", "--measure", "mi", "--sizes", "100:300:100"],
+            "counts", {"parse_counts_csv": 1, "convergence_trace": 1},
+        ),
+        (
+            ["normality", "--measure", "entropy", "--n", "1000", "--replicates", "100"],
+            "counts", {"parse_counts_csv": 1, "normality_study": 1},
+        ),
+        (
+            ["power", "--n", "200", "--replicates", "20"],
+            "pairs", {"parse_pairs_csv": 1, "rejection_rate": 1},
+        ),
+    ],
+    ids=["estimate", "estimate_pairs", "test", "trace", "normality", "power"],
+)
+def test_each_layer_is_called_through_the_cli_globals(
+    tmp_path, monkeypatch, capsys, args, fmt, called
+):
+    calls = dict.fromkeys(CLI_LAYERS, 0)
+
+    def counting(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for name in CLI_LAYERS:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    path = tmp_path / "in.csv"
+    path.write_text(README_TABLE if fmt == "counts" else PAIRS_TABLE, encoding="utf-8")
+    assert main(args + ["--input", str(path), "--format", fmt]) == 0
+    assert calls == {**dict.fromkeys(CLI_LAYERS, 0), "run": 1, **called}
+
+
+class TestRunLibrary:
+    def test_unknown_command_raises_and_writes_nothing(self, counts_file, tmp_path):
+        out = tmp_path / "out.json"
+        config = cli.RunConfig("bogus", counts_file, "counts", output=str(out))
+        with pytest.raises(ValueError, match="^unknown command 'bogus'$"):
+            cli.run(config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("estimate", {}), ("test", {}), ("power", {"n": 500, "replicates": 20})],
+    )
+    def test_csv_format_of_a_json_command_writes_json(
+        self, counts_file, tmp_path, command, extra
+    ):
+        results = {}
+        for output_format in ("json", "csv"):
+            out = tmp_path / f"{output_format}.out"
+            config = cli.RunConfig(
+                command, counts_file, "counts", output=str(out),
+                output_format=output_format, **extra,
+            )
+            assert cli.run(config) == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert report["config"]["output_format"] == output_format
+            results[output_format] = report["results"]
+        assert results["csv"] == results["json"]
 
 
 # Each command's required flags; the input file need not exist, since every
