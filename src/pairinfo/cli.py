@@ -47,7 +47,7 @@ from .montecarlo import (
     normality_study,
     rejection_rate,
 )
-from .pmf import EmpiricalPmf, LabeledAlphabets
+from .pmf import _INT64_MAX, EmpiricalPmf, LabeledAlphabets
 
 # Not called by the CLI, but perfbench/tracing.py rebinds it here.
 from .pmf import estimate_pmf  # noqa: F401
@@ -55,8 +55,6 @@ from .pmf import estimate_pmf  # noqa: F401
 log = logging.getLogger("pairinfo")
 
 SCHEMA_VERSION = 2
-
-_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -376,9 +374,8 @@ def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
         del joined
         rows = list(islice(records, head, len(lines)))
         # A quote left open swallows the blank line, so the records run out
-        # early; otherwise that blank line is the one record left.
-        if next(records) or next(records, None) is not None:
-            return None
+        # early.  With no "\r", records cannot outnumber lines.
+        next(records)
     except (UnicodeDecodeError, csv.Error, StopIteration):
         return None
     if not set(map(len, rows)) <= {2}:
@@ -452,7 +449,7 @@ def _cell_batches(
         rows = None
         # Past the first chunk, parsing a quarter of the lines costs about as
         # much as walking them all.
-        if read and 4 * (len(lines) - head) > chunk_lines:
+        if read and 4 * len(lines) > chunk_lines:
             reason = "over a quarter of its lines are new"
         else:
             reason = "a line is not one whole record of two fields"
@@ -560,9 +557,9 @@ def parse_counts_csv(
             ) from None
         if count < 0:
             raise ValueError(f"line {lineno}: count must be nonnegative, got {count}")
-        if count > _MAX_COUNT:
+        if count > _INT64_MAX:
             raise ValueError(
-                f"line {lineno}: count must be at most {_MAX_COUNT}, got {count}"
+                f"line {lineno}: count must be at most {_INT64_MAX}, got {count}"
             )
         key = (x_order.setdefault(x, len(x_order)), y_order.setdefault(y, len(y_order)))
         if key in cells:
@@ -587,13 +584,17 @@ def serialize_counts_csv(alphabets: LabeledAlphabets, emp: EmpiricalPmf) -> str:
     alphabets and counts exactly.  A label the reader would strip, or drop
     as a byte order mark as the file's first bytes, raises ``ValueError``.
     """
-    for label in chain(alphabets.x_labels, alphabets.y_labels):
+    labels = alphabets.x_labels + alphabets.y_labels
+    for label in labels:
         if label != label.strip():
             raise ValueError(f"label {label!r} has leading or trailing whitespace")
     if alphabets.x_labels[0].startswith("\ufeff"):
         raise ValueError(f"first x label {alphabets.x_labels[0]!r} starts with U+FEFF")
+    # The writer quotes a field for "\n", its line terminator, but not for a
+    # bare "\r", which the reader takes for the end of a line.
+    quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
     cols = emp.shape.cols
     for xi, x in enumerate(alphabets.x_labels):
         for yi, y in enumerate(alphabets.y_labels):

@@ -156,50 +156,13 @@ def _seed_block(master_seed: int, block: int) -> np.ndarray:
     return words
 
 
-@functools.cache
-def _precomputed_seeds() -> type:
-    """The seed sequence class that hands PCG64 words derived in advance.
-
-    Defined on first use, so that importing pairinfo does not load
-    ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _PrecomputedSeeds(ISeedSequence):
-        __qualname__ = "_PrecomputedSeeds"  # found by the module __getattr__
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-                raise ValueError(
-                    f"precomputed seeds hold 4 uint64 words, not {n_words} "
-                    f"of {np.dtype(dtype)}"
-                )
-            return self.words
-
-    return _PrecomputedSeeds
-
-
 def _generator(words: np.ndarray) -> np.random.Generator:
     """PCG64 on the 4 uint64 seed ``words``.  The first call loads
-    ``numpy.random`` and rebinds this name to a lean builder."""
+    ``numpy.random`` and rebinds this name to :func:`pairinfo._seeds.generator`."""
     global _generator
-    from numpy.random import PCG64, Generator
-    seeds = _precomputed_seeds()
-
-    def _generator(words):
-        return Generator(PCG64(seeds(words)))
+    from ._seeds import generator as _generator
 
     return _generator(words)
-
-
-def __getattr__(name: str):
-    # Unpickling a substream's generator looks its seed class up here.
-    if name == "_PrecomputedSeeds":
-        return _precomputed_seeds()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

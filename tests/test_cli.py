@@ -522,6 +522,15 @@ class TestParseCountsCsv:
         with pytest.raises(ValueError, match="line 1: expected 3 fields"):
             _counts("x1,y1\n")
 
+    @pytest.mark.parametrize(
+        "data, header",
+        [(b"", False), (b"x,y,count\n", True), (b"\n\r\n\n", False)],
+        ids=["empty_file", "header_only", "blank_lines_only"],
+    )
+    def test_input_without_data_rows(self, data, header):
+        with pytest.raises(ValueError, match="empty input"):
+            parse_counts_csv(io.BytesIO(data), header)
+
     def test_counts_beyond_int64(self):
         text = "x1,y1,1\nx1,y2,9223372036854775808\n"
         with pytest.raises(ValueError, match="line 2: count must be at most"):
@@ -617,6 +626,20 @@ class TestSerializeRoundTrip:
         with pytest.raises(ValueError) as info:
             serialize_counts_csv(alphabets, emp)
         assert repr(label) in str(info.value)
+
+    # The writer quotes a field for "\n" but would not for a bare "\r".
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a\nb"], ids=["cr", "crlf", "lf"])
+    def test_line_breaks_in_labels_survive(self, label):
+        emp = EmpiricalPmf(np.array([1, 2, 0, 3]), PairShape(2, 2))
+        alphabets = LabeledAlphabets((label, "c"), ("p", label))
+        alphabets2, emp2 = _counts(serialize_counts_csv(alphabets, emp))
+        assert (alphabets2.x_labels, alphabets2.y_labels) == ((label, "c"), ("p", label))
+        assert emp2 == emp
+
+    def test_labels_without_carriage_returns_are_quoted_only_as_needed(self):
+        emp = EmpiricalPmf(np.array([3, 4]), PairShape(1, 2))
+        alphabets = LabeledAlphabets(("a,b",), ("p", "q\nr"))
+        assert serialize_counts_csv(alphabets, emp) == '"a,b",p,3\n"a,b","q\nr",4\n'
 
     def test_byte_order_mark_past_the_first_label_survives(self):
         emp = EmpiricalPmf(np.array([1, 2, 3, 4]), PairShape(2, 2))
@@ -1305,6 +1328,13 @@ class TestCliErrors:
         code = main(["estimate", "--input", str(path), "--format", "counts"])
         assert code == 2
         assert "expected 3 fields" in capsys.readouterr().err
+
+    def test_header_only_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("x,y,count\n", encoding="utf-8")
+        code = main(["estimate", "--input", str(path), "--format", "counts", "--header"])
+        assert code == 2
+        assert "empty input" in capsys.readouterr().err
 
     def test_invalid_alpha_exits_2(self, counts_file, capsys):
         code = main(

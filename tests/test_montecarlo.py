@@ -1066,8 +1066,18 @@ def _fresh_python(code, input=None):
 
 
 def test_importing_the_cli_leaves_heavy_modules_unloaded():
-    """Set-up time stays lean: numpy.random, the draw pool's module and
-    scipy load only when a command needs them."""
-    heavy = ("numpy.random", "concurrent.futures", "scipy")
+    """Set-up time stays lean: numpy.random, the substreams' generator
+    module, the draw pool's module and scipy load only when a command needs
+    them."""
+    heavy = ("numpy.random", "pairinfo._seeds", "concurrent.futures", "scipy")
     code = f"import sys, pairinfo, pairinfo.cli; print([m for m in {heavy!r} if m in sys.modules])"
     assert _fresh_python(code) == "[]"
+
+
+def test_first_substream_loads_the_generator_modules():
+    heavy = ("numpy.random", "pairinfo._seeds")
+    code = (
+        "import sys; from pairinfo import RngSpec; RngSpec(0).substream(0); "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    assert _fresh_python(code) == repr(list(heavy))

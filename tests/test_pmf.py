@@ -16,6 +16,7 @@ from pairinfo import (
     marginal_y,
     z_view,
 )
+from pairinfo.pmf import z_vector
 from conftest import DEMO_TABLE
 
 
@@ -56,11 +57,19 @@ class TestJointPmf:
         with pytest.raises(ValueError):
             p.probs[0, 0] = 0.9
 
+    def test_z_vector_needs_the_flattened_view(self):
+        with pytest.raises(TypeError, match="expected ZPmf or EmpiricalPmf, got JointPmf"):
+            z_vector(JointPmf(DEMO_TABLE))
+
 
 class TestZPmf:
     def test_length_must_match_shape(self):
         with pytest.raises(ValueError, match="entries"):
             ZPmf([0.5, 0.5], PairShape(2, 2))
+
+    def test_rejects_a_table(self):
+        with pytest.raises(ValueError, match="must be 1-D, got 2-D"):
+            ZPmf(DEMO_TABLE, PairShape(2, 2))
 
     def test_flatten_roundtrip(self):
         joint = JointPmf(DEMO_TABLE)
@@ -81,6 +90,10 @@ class TestEmpiricalPmf:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError, match="n = 0"):
             EmpiricalPmf(np.zeros(4, dtype=int), PairShape(2, 2))
+
+    def test_length_must_match_shape(self):
+        with pytest.raises(ValueError, match="length-4 vector for shape 2x2"):
+            EmpiricalPmf(np.array([2, 4, 1]), PairShape(2, 2))
 
     def test_rejects_negative_and_fractional(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -152,6 +165,12 @@ class TestEstimatePmf:
         with pytest.raises(ValueError, match="n = 0"):
             estimate_pmf([], PairShape(2, 2))
 
+    def test_rejects_a_table_and_fractional_outcomes(self):
+        with pytest.raises(ValueError, match="must be 1-D, got 2-D"):
+            estimate_pmf(np.array([[1, 2], [3, 4]]), PairShape(2, 2))
+        with pytest.raises(ValueError, match="integer outcome indices"):
+            estimate_pmf(np.array([1.0, 2.5]), PairShape(2, 2))
+
     def test_rejects_boolean_sample(self):
         with pytest.raises(ValueError, match="booleans"):
             estimate_pmf(np.array([True, True]), PairShape(2, 2))
@@ -221,5 +240,7 @@ class TestLabeledAlphabets:
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError, match="distinct"):
             LabeledAlphabets(("a", "a"), ("p",))
+        with pytest.raises(ValueError, match="y labels are not pairwise distinct"):
+            LabeledAlphabets(("a",), ("p", "q", "p"))
         with pytest.raises(ValueError, match="nonempty"):
             LabeledAlphabets((), ("p",))
