@@ -581,9 +581,15 @@ def serialize_counts_csv(alphabets: LabeledAlphabets, emp: EmpiricalPmf) -> str:
     """Counts-layout CSV for an empirical table, one row per cell.
 
     Zero cells are written too, so parsing the result reproduces the
-    alphabets and counts exactly.  A label the reader would strip, or drop
-    as a byte order mark as the file's first bytes, raises ``ValueError``.
+    alphabets and counts exactly.  A table whose shape is not the
+    alphabets', or a label the reader would strip, or drop as a byte order
+    mark as the file's first bytes, raises ``ValueError``.
     """
+    if emp.shape != alphabets.shape:
+        raise ValueError(
+            f"table shape {emp.shape.rows}x{emp.shape.cols} does not match the "
+            f"{alphabets.shape.rows}x{alphabets.shape.cols} alphabets"
+        )
     labels = alphabets.x_labels + alphabets.y_labels
     for label in labels:
         if label != label.strip():
@@ -617,6 +623,9 @@ def parse_sizes(text: str) -> list[int]:
         raise ValueError(f"sizes step must be >= 1, got {step}")
     if stop < start:
         raise ValueError(f"sizes stop must be >= start, got {start}:{stop}:{step}")
+    length = (stop - start) // step + 1
+    if length > sys.maxsize:
+        raise ValueError(f"sizes grid must have at most {sys.maxsize} entries, got {length}")
     return list(range(start, stop + 1, step))
 
 
@@ -745,7 +754,7 @@ def run(config: RunConfig) -> int:
     elif config.command == "test":
         results = {"independence_test": asdict(independence_test(emp, config.alpha))}
     elif config.command == "trace":
-        trace = convergence_trace(emp.as_zpmf(), config.sizes, config.measure, rng)
+        trace = convergence_trace(emp, config.sizes, config.measure, rng)
         results = {"trace": asdict(trace)}
         if csv_out:
             comments = [f"# measure: {trace.measure}, true_value: {trace.true_value:.9g}"]
@@ -757,9 +766,7 @@ def run(config: RunConfig) -> int:
                 "ratio": trace.ratio,
             }
     elif config.command == "normality":
-        study = normality_study(
-            emp.as_zpmf(), config.n, config.replicates, config.measure, rng
-        )
+        study = normality_study(emp, config.n, config.replicates, config.measure, rng)
         block = asdict(study)
         scalars = {key: val for key, val in block.items() if not isinstance(val, np.ndarray)}
         # The scalar fields first, then the arrays, each in field order.
@@ -777,9 +784,7 @@ def run(config: RunConfig) -> int:
                 "qq_order_statistic": study.qq_sample,
             }
     elif config.command == "power":
-        rate = rejection_rate(
-            emp.as_zpmf(), config.n, config.replicates, config.alpha, rng
-        )
+        rate = rejection_rate(emp, config.n, config.replicates, config.alpha, rng)
         results = {
             "rejection_rate": {
                 "rate": rate,
@@ -887,8 +892,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return run(_config_from_args(args))
-    except (ValueError, OSError, UnicodeDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"pairinfo: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # str(MemoryError()) is empty, so the line names the cause itself.
+        print("pairinfo: error: out of memory", file=sys.stderr)
         return 2
 
 

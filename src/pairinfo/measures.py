@@ -61,9 +61,7 @@ def entropy(probs) -> float:
     """
     if np.size(probs) == 0:
         raise ValueError("probability vector is empty")
-    probs = _validate_probs(
-        probs, strict=False, renormalize=False, what="probability vector"
-    )
+    probs = _validate_probs(probs, renormalize=False, what="probability vector")
     return float(entropy_rows(probs.reshape(1, -1))[0])
 
 

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo studies of the estimators and the test.
 
-Four studies, each driven by a true flattened p.m.f. and a seeded RNG:
+Four studies, each driven by a seeded RNG and a flattened p.m.f. taken as
+the truth: a :class:`ZPmf`, or the frequencies of an :class:`EmpiricalPmf`.
 
 * :func:`convergence_trace` -- estimates along a grid of growing sample
   sizes, with the sup-norm deviation of the empirical p.m.f. and the
@@ -44,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -58,7 +60,7 @@ from .measures import (
     mutual_information,
     mutual_information_rows,
 )
-from .pmf import _INT64_MAX, ZPmf, _integer, z_vector
+from .pmf import _INT64_MAX, PmfLike, ZPmf, _integer, z_vector
 
 # Not called by the studies, but perfbench/tracing.py rebinds them here.
 from .inference import independence_test  # noqa: F401
@@ -213,7 +215,7 @@ _MEASURES: dict[str, Callable] = {
 }
 
 
-def _measure(measure: str, p: ZPmf) -> tuple[Callable, Callable, Callable]:
+def _measure(measure: str, p: PmfLike) -> tuple[Callable, Callable, Callable]:
     """The truth function, delta-method variance and batch kernel (on blocks
     of ``p``'s shape) of ``measure``, read from the module at each call."""
     if measure not in _MEASURES:
@@ -262,7 +264,7 @@ def _drawn_block(statistic: Callable, weights: np.ndarray, k: int, gens, sizes) 
     return statistic(counts / sizes[:, None])
 
 
-def _replicates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable) -> np.ndarray:
+def _replicates(p: PmfLike, sizes: Sequence[int], rng: RngSpec, statistic: Callable) -> np.ndarray:
     """``statistic`` of the replicates' frequencies, joined along its last axis.
 
     Replicate ``i`` is one ``multinomial(sizes[i], ...)`` draw from
@@ -312,6 +314,17 @@ def _replicates(p: ZPmf, sizes: Sequence[int], rng: RngSpec, statistic: Callable
     return np.concatenate(results, axis=-1)
 
 
+def _replicate_count(replicates, least: int, study: str) -> int:
+    """``replicates`` as an int in ``[least, sys.maxsize]``; no list holds
+    a sample size per replicate past ``sys.maxsize``."""
+    replicates = _integer(replicates, "replicates")
+    if replicates < least:
+        raise ValueError(f"{study} needs >= {least} replicates, got {replicates}")
+    if replicates > sys.maxsize:
+        raise ValueError(f"replicates must be at most {sys.maxsize}, got {replicates}")
+    return replicates
+
+
 @dataclass(frozen=True)
 class ConvergenceTrace:
     """Estimates and error diagnostics along growing sample sizes."""
@@ -326,7 +339,7 @@ class ConvergenceTrace:
 
 
 def convergence_trace(
-    p: ZPmf, sizes: Sequence[int], measure: str, rng: RngSpec
+    p: PmfLike, sizes: Sequence[int], measure: str, rng: RngSpec
 ) -> ConvergenceTrace:
     """Fresh-sample estimates at each size; size index keys the substream."""
     truth_fn, _, kernel = _measure(measure, p)
@@ -393,7 +406,7 @@ def _ks_distance(sorted_values: np.ndarray) -> float:
 
 
 def normality_study(
-    p: ZPmf,
+    p: PmfLike,
     n: int,
     replicates: int,
     measure: str,
@@ -406,13 +419,9 @@ def normality_study(
     """
     truth_fn, variance, kernel = _measure(measure, p)
     n = _integer(n, "sample size")
-    replicates = _integer(replicates, "replicates")
     if n < 1000:
         raise ValueError(f"normality study needs n >= 1000, got {n}")
-    if replicates < 100:
-        raise ValueError(
-            f"normality study needs at least 100 replicates, got {replicates}"
-        )
+    replicates = _replicate_count(replicates, 100, "normality study")
     truth = truth_fn(p)
     sigma_sq = variance(p)
     # A variance within rounding of the k weights is 0, as MI's is at
@@ -466,7 +475,7 @@ def normality_study(
 
 
 def rejection_rate(
-    p: ZPmf,
+    p: PmfLike,
     n: int,
     replicates: int,
     alpha: float,
@@ -478,9 +487,7 @@ def rejection_rate(
     once, before any replicate is drawn; each replicate then rejects
     exactly when :func:`~pairinfo.inference.independence_test` would.
     """
-    replicates = _integer(replicates, "replicates")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    replicates = _replicate_count(replicates, 1, "rejection rate")
     _, threshold = lrt_threshold(p.shape, alpha)
     _, _, kernel = _measure("mi", p)
     mi = _replicates(p, [n] * replicates, rng, kernel)  # checks n
@@ -496,7 +503,7 @@ class VarianceCheck(NamedTuple):
 
 
 def variance_check(
-    p: ZPmf,
+    p: PmfLike,
     n: int,
     replicates: int,
     measure: str,
@@ -505,9 +512,7 @@ def variance_check(
     """Monte Carlo variance of the sqrt(n)-scaled estimator next to the
     delta-method variance at the true p.m.f."""
     _, variance, kernel = _measure(measure, p)  # an unknown measure fails here
-    replicates = _integer(replicates, "replicates")
-    if replicates < 2:
-        raise ValueError(f"variance check needs >= 2 replicates, got {replicates}")
+    replicates = _replicate_count(replicates, 2, "variance check")
     estimates = _replicates(p, [n] * replicates, rng, kernel)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),

@@ -6,12 +6,11 @@ Three containers cover the whole pipeline:
 * :class:`ZPmf` -- the same distribution flattened to a length rows*cols
   vector in the row-major order of :mod:`pairinfo.encoding`.
 * :class:`EmpiricalPmf` -- integer outcome counts from an i.i.d. sample,
-  with relative frequencies derived lazily so counts stay exact.
+  with their relative frequencies beside them.
 
 All containers are immutable after construction and safe to share across
-threads.  Table entries may be zero unless ``strict=True`` is requested;
-downstream information measures treat ``0 * log 0`` as 0, so zero cells are
-harmless there.
+threads.  Table entries may be zero; downstream information measures treat
+``0 * log 0`` as 0, so zero cells are harmless there.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _validate_probs(
-    values, *, strict: bool, renormalize: bool, what: str
-) -> np.ndarray:
+def _validate_probs(values, *, renormalize: bool, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")
@@ -72,8 +69,6 @@ def _validate_probs(
         raise ValueError(
             f"{what} sums to {total!r}, outside 1 +/- {NORMALIZATION_TOL}"
         )
-    if strict and np.any(arr == 0):
-        raise ValueError(f"{what} has a zero entry but strict positivity was requested")
     return _frozen(arr)
 
 
@@ -84,22 +79,17 @@ class JointPmf:
     ----------
     table : 2-D array-like
         Cell probabilities, one row per row-alphabet symbol.
-    strict : bool
-        Require every cell to be strictly positive.
     renormalize : bool
         Divide by the table sum instead of insisting it is within
         ``1e-9`` of 1.  Useful for hand-typed tables.
     """
 
-    def __init__(self, table, *, strict: bool = False, renormalize: bool = False):
+    def __init__(self, table, *, renormalize: bool = False):
         arr = np.asarray(table, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"joint table must be 2-D, got {arr.ndim}-D")
         self.shape = PairShape(arr.shape[0], arr.shape[1])
-        self.probs = _validate_probs(
-            arr, strict=strict, renormalize=renormalize, what="joint table"
-        )
-        self.strict = strict
+        self.probs = _validate_probs(arr, renormalize=renormalize, what="joint table")
 
     def __repr__(self) -> str:
         return f"JointPmf(shape={self.shape.rows}x{self.shape.cols})"
@@ -112,14 +102,7 @@ class ZPmf:
     ``k = cols * (i - 1) + j``.
     """
 
-    def __init__(
-        self,
-        probs,
-        shape: PairShape,
-        *,
-        strict: bool = False,
-        renormalize: bool = False,
-    ):
+    def __init__(self, probs, shape: PairShape, *, renormalize: bool = False):
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1:
             raise ValueError(f"flattened p.m.f. must be 1-D, got {arr.ndim}-D")
@@ -129,9 +112,8 @@ class ZPmf:
             )
         self.shape = shape
         self.probs = _validate_probs(
-            arr, strict=strict, renormalize=renormalize, what="flattened p.m.f."
+            arr, renormalize=renormalize, what="flattened p.m.f."
         )
-        self.strict = strict
 
     def __repr__(self) -> str:
         return f"ZPmf(shape={self.shape.rows}x{self.shape.cols})"
@@ -140,8 +122,8 @@ class ZPmf:
 class EmpiricalPmf:
     """Outcome counts of an i.i.d. sample of the flattened variable.
 
-    Counts are kept as exact integers; relative frequencies are derived on
-    first access so no accumulation error creeps into the stored state.
+    Counts are kept as exact integers; ``freqs`` is ``counts / n``, the
+    relative frequencies, computed once at construction.
     """
 
     def __init__(self, counts, shape: PairShape):
@@ -171,13 +153,7 @@ class EmpiricalPmf:
         self.n = int(self.counts.sum())
         if self.n < 1:
             raise ValueError("empty sample: n = 0")
-        self._freqs: np.ndarray | None = None
-
-    @property
-    def freqs(self) -> np.ndarray:
-        if self._freqs is None:
-            self._freqs = _frozen(self.counts / self.n)
-        return self._freqs
+        self.freqs = _frozen(self.counts / self.n)
 
     def as_zpmf(self) -> ZPmf:
         """Relative frequencies as a :class:`ZPmf` (the plug-in distribution)."""
@@ -203,6 +179,9 @@ class LabeledAlphabets:
     def __init__(self, x_labels: Sequence[str], y_labels: Sequence[str]):
         x = tuple(x_labels)
         y = tuple(y_labels)
+        for label in x + y:
+            if not isinstance(label, str):
+                raise ValueError(f"labels must be strings, got {label!r}")
         if len(set(x)) != len(x):
             raise ValueError("x labels are not pairwise distinct")
         if len(set(y)) != len(y):
@@ -234,7 +213,7 @@ def z_vector(p: PmfLike) -> np.ndarray:
 
 def z_view(joint: JointPmf) -> ZPmf:
     """Flatten a joint table row-major into the single-variable view."""
-    return ZPmf(joint.probs.ravel(), joint.shape, strict=joint.strict)
+    return ZPmf(joint.probs.ravel(), joint.shape)
 
 
 def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:

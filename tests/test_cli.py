@@ -648,6 +648,18 @@ class TestSerializeRoundTrip:
         assert (alphabets2.x_labels, alphabets2.y_labels) == (("a", "\ufeffb"), ("\ufeffp", "q"))
         assert emp2 == emp
 
+    # A 3x2 table under 2x3 alphabets would write count 3 twice and lose 6;
+    # a 2x2 one would index past the table.
+    @pytest.mark.parametrize(
+        "counts, shape", [([1, 2, 3, 4, 5, 6], PairShape(3, 2)), ([1, 2, 3, 4], PairShape(2, 2))]
+    )
+    def test_table_of_another_shape_is_refused(self, counts, shape):
+        alphabets = LabeledAlphabets(("a", "b"), ("p", "q", "r"))
+        emp = EmpiricalPmf(counts, shape)
+        message = f"table shape {shape.rows}x{shape.cols} does not match the 2x3 alphabets"
+        with pytest.raises(ValueError, match=message):
+            serialize_counts_csv(alphabets, emp)
+
 
 class TestParseSizes:
     def test_inclusive_grid(self):
@@ -1394,6 +1406,31 @@ class TestCliErrors:
         code = main(["normality", *argv, "--n", "2000", "--replicates", "200"])
         assert code == 2
         assert "degenerate CLT" in capsys.readouterr().err
+
+    # None allocates: the first two fail past sys.maxsize, and the third
+    # when Python refuses at once a list of 2**62 sizes.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["power", "--n", "1000", "--replicates", "100000000000000000000"],
+             "replicates must be at most 9223372036854775807, got 100000000000000000000"),
+            (["trace", "--measure", "mi", "--sizes", "1:100000000000000000000:1"],
+             "sizes grid must have at most 9223372036854775807 entries, "
+             "got 100000000000000000000"),
+            (["power", "--n", "1000", "--replicates", "4611686018427387904"],
+             "out of memory"),
+        ],
+        ids=["replicates", "sizes_grid", "memory"],
+    )
+    def test_oversized_counts_exit_2(self, tmp_path, monkeypatch, capsys, args, message):
+        if sys.maxsize != 2**63 - 1:
+            pytest.skip("the bounds are those of a 64-bit build")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t3.csv").write_text(README_TABLE, encoding="utf-8")
+        assert main([*args, "--input", "t3.csv", "--format", "counts"]) == 2
+        err = capsys.readouterr().err
+        assert f"pairinfo: error: {message}\n" in err
+        assert "Traceback" not in err
 
     def test_count_beyond_int64_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"

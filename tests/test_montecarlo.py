@@ -575,6 +575,22 @@ class TestIntegerCounts:
             self.SIZE_RUNS[study](demo_z, size)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "study", ["normality replicates", "power replicates", "variance replicates"]
+    )
+    def test_rejects_replicates_beyond_sys_maxsize_before_drawing(
+        self, demo_z, monkeypatch, study
+    ):
+        """No list holds a size per replicate past sys.maxsize, so the count
+        is a ValueError there, not the OverflowError of building one."""
+        calls = []
+        monkeypatch.setattr(RngSpec, "substream", lambda self, stream: calls.append(stream))
+        bad = sys.maxsize + 1
+        message = f"^replicates must be at most {sys.maxsize}, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            self.STUDIES[study][0](demo_z, bad)
+        assert calls == []
+
     @pytest.mark.parametrize("study", list(STUDIES))
     def test_numpy_ints_match_python_ints(self, demo_z, study):
         run, good, _ = self.STUDIES[study]
@@ -1051,6 +1067,31 @@ class TestCountBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestIngestedTable:
+    """Every study takes the ingested EmpiricalPmf itself as the truth and
+    gives, bit for bit, what it gives on that table's ``as_zpmf()``."""
+
+    @staticmethod
+    def _table(name):
+        if name == "t3":
+            return EmpiricalPmf([2, 4, 1, 3], PairShape(2, 2))
+        rng = np.random.default_rng(30)
+        counts = rng.multinomial(20000, rng.dirichlet(np.ones(900)))
+        emp = EmpiricalPmf(counts, PairShape(30, 30))
+        assert np.count_nonzero(emp.counts) >= montecarlo._POOL_MIN_CELLS
+        return emp
+
+    @pytest.mark.parametrize("table", ["t3", "wide_30x30"])
+    def test_studies_match_the_zpmf_copy(self, monkeypatch, table):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)  # the pool runs on 30x30
+        emp = self._table(table)
+        expected = TestDrawThreads._studies(emp.as_zpmf())
+        for name, run in TestDrawThreads._studies(emp).items():
+            assert [_bits(v) for v in _values(run())] == [
+                _bits(v) for v in _values(expected[name]())
+            ], name
 
 
 def _fresh_python(code, input=None):

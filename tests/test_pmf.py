@@ -44,10 +44,6 @@ class TestJointPmf:
         with pytest.raises(ValueError, match="cannot renormalize"):
             JointPmf([[0.0, 0.0], [0.0, 0.0]], renormalize=True)
 
-    def test_strict_rejects_zero_cells(self):
-        with pytest.raises(ValueError, match="strict"):
-            JointPmf([[0.5, 0.5], [0.0, 0.0]], strict=True)
-
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
             JointPmf([0.5, 0.5])
@@ -86,6 +82,12 @@ class TestEmpiricalPmf:
         assert emp.n == 10
         assert emp.counts.dtype == np.int64
         np.testing.assert_array_equal(emp.freqs, [0.2, 0.4, 0.1, 0.3])
+
+    def test_freqs_are_set_at_construction_and_read_only(self):
+        emp = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(2, 2))
+        assert vars(emp)["freqs"] is emp.freqs
+        with pytest.raises(ValueError):
+            emp.freqs[0] = 0.5
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError, match="n = 0"):
@@ -244,3 +246,13 @@ class TestLabeledAlphabets:
             LabeledAlphabets(("a",), ("p", "q", "p"))
         with pytest.raises(ValueError, match="nonempty"):
             LabeledAlphabets((), ("p",))
+
+    # An int label would fail in the CSV writer, and 1 beside "1" would be
+    # distinct here but written twice as 1.
+    @pytest.mark.parametrize(
+        "x_labels, y_labels, bad",
+        [((1, 2), ("a",), "1"), (("1", 1), ("a",), "1"), (("a",), ("p", None), "None")],
+    )
+    def test_rejects_labels_that_are_not_strings(self, x_labels, y_labels, bad):
+        with pytest.raises(ValueError, match=f"^labels must be strings, got {bad}$"):
+            LabeledAlphabets(x_labels, y_labels)
