@@ -2,8 +2,9 @@
 
 The plug-in entropy and mutual information are smooth functions of the
 empirical p.m.f., so the delta method gives each one a limiting normal law
-``sqrt(n) * (estimate - truth) -> N(0, sigma^2)``.  For a statistic with
-per-cell weight ``c_k`` the variance is the variance of ``c`` under ``p``,
+``sqrt(n) * (estimate - truth) -> N(0, sigma^2)``.  Each estimator is a
+p-weighted sum of a per-cell term ``c_k`` of :mod:`pairinfo.measures`
+(floors included), and its variance is the variance of ``c`` under ``p``,
 
     sigma^2 = sum_k p_k c_k^2 - (sum_k p_k c_k)^2.
 
@@ -23,8 +24,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .measures import _TINY, joint_entropy, mutual_information
-from .pmf import PmfLike, z_vector
+from .measures import _floored_log, _pointwise_mi, joint_entropy, mutual_information
+from .pmf import PmfLike, _as_table, z_vector
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -67,21 +68,18 @@ def entropy_variance(p: PmfLike) -> float:
     on its support, a point mass included.
     """
     probs = z_vector(p)
-    return _variance(probs, np.log(np.maximum(probs, _TINY)))
+    return _variance(probs, _floored_log(probs))
 
 
 def mi_variance(p: PmfLike) -> float:
     """Delta-method variance of the plug-in mutual information.
 
     Equals ``sum p B^2 - MI^2`` where ``B = log(p_ij / (p_i p_j))`` is the
-    pointwise mutual information of each cell, floored as the measure's
-    kernel floors it; it is 0 when the coordinates are independent.
+    pointwise mutual information of each cell, the measure's own floored
+    term; it is 0 when the coordinates are independent.
     """
-    table = z_vector(p).reshape(p.shape.rows, p.shape.cols)
-    # The floor keeps a marginal product that underflows from dividing by 0.
-    denom = np.maximum(np.outer(table.sum(axis=1), table.sum(axis=0)), _TINY)
-    weights = np.log(np.maximum(table / denom, _TINY))
-    return _variance(table.ravel(), weights.ravel())
+    table = _as_table(p)
+    return _variance(table.ravel(), _pointwise_mi(table[None]).ravel())
 
 
 def rate_constant(p: PmfLike) -> float:

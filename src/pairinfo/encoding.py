@@ -57,21 +57,20 @@ def decode_index(k: int, shape: PairShape) -> tuple[int, int]:
     """Invert :func:`encode_pair`: flattened index k back to the cell (i, j)."""
     if not 1 <= k <= shape.size:
         raise ValueError(f"flattened index k = {k} outside [1, {shape.size}]")
-    i = (k + shape.cols - 1) // shape.cols
-    j = k - shape.cols * (i - 1)
-    return i, j
+    i, j = divmod(k - 1, shape.cols)
+    return i + 1, j + 1
 
 
 def diagonal_index(i: int, shape: PairShape) -> int:
-    """Flattened index of the diagonal cell (i, i) on a square shape.
-
-    Equals ``encode_pair(i, i, shape)`` but uses the closed form
-    ``1 + (i - 1) * (cols + 1)``.
-    """
+    """Flattened index ``encode_pair(i, i, shape)`` of the diagonal cell
+    (i, i); the shape must be square."""
     if not shape.is_square:
         raise ValueError(
             f"diagonal index requires a square shape, got {shape.rows} x {shape.cols}"
         )
     if not 1 <= i <= shape.cols:
         raise ValueError(f"diagonal index i = {i} outside [1, {shape.cols}]")
-    return 1 + (i - 1) * (shape.cols + 1)
+    return encode_pair(i, i, shape)
+
+
+__all__ = ["PairShape", "encode_pair", "decode_index", "diagonal_index"]

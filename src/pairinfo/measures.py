@@ -14,6 +14,11 @@ Only a cell below ``sqrt(tiny) = 1.5e-154`` can meet the floor (it is
 subnormal, or its marginal product underflows), and its term is then
 below ``1e-150`` either way.
 
+H and MI are each the p-weighted sum of one floored per-cell term, written
+once here: :func:`_floored_log` (H is minus its sum) and
+:func:`_pointwise_mi`.  The delta-method variances in
+:mod:`pairinfo.asymptotics` are the variances of the same terms.
+
 Each measure has one formula, written as a kernel over a block of
 distributions with a leading batch axis (:func:`entropy_rows`,
 :func:`mutual_information_rows`); the Monte Carlo studies run it on many
@@ -34,22 +39,35 @@ from .pmf import PmfLike, _validate_probs, z_vector
 _TINY = np.finfo(float).tiny
 
 
+def _floored_log(x: np.ndarray) -> np.ndarray:
+    """``log(max(x, tiny))`` of each cell: H's per-cell term, up to sign."""
+    return np.log(np.maximum(x, _TINY))
+
+
+def _pointwise_mi(tables: np.ndarray) -> np.ndarray:
+    """``log(p_ij / (p_i p_j))`` of each cell of an (m, rows, cols) block.
+
+    The marginal product and the ratio are floored at ``tiny``; see
+    :func:`mutual_information`.
+    """
+    denom = tables.sum(axis=2)[:, :, None] * tables.sum(axis=1)[:, None, :]
+    return _floored_log(tables / np.maximum(denom, _TINY))
+
+
 def entropy_rows(freqs: np.ndarray) -> np.ndarray:
     """-sum p log p of each row of an (m, k) block of probability vectors."""
     # 0.0 - s is -s, except that a point mass gets 0.0, not -0.0.
-    return 0.0 - (freqs * np.log(np.maximum(freqs, _TINY))).sum(axis=1)
+    return 0.0 - (freqs * _floored_log(freqs)).sum(axis=1)
 
 
 def mutual_information_rows(freqs: np.ndarray, shape: PairShape) -> np.ndarray:
     """Mutual information of each row of an (m, rows * cols) block.
 
     Row ``i`` is the flattened table ``i``; the sums run on its
-    ``(rows, cols)`` view.  See :func:`mutual_information` for the floors.
+    ``(rows, cols)`` view.
     """
     tables = freqs.reshape(-1, shape.rows, shape.cols)
-    denom = tables.sum(axis=2)[:, :, None] * tables.sum(axis=1)[:, None, :]
-    ratio = tables / np.maximum(denom, _TINY)
-    return (tables * np.log(np.maximum(ratio, _TINY))).sum(axis=(1, 2))
+    return (tables * _pointwise_mi(tables)).sum(axis=(1, 2))
 
 
 def entropy(probs) -> float:
@@ -108,3 +126,11 @@ def kl_divergence(p: PmfLike, q: PmfLike) -> float:
             f"q vanishes where p does not (flattened outcome k = {k + 1})"
         )
     return float((pv[mask] * np.log(pv[mask] / qv[mask])).sum())
+
+
+__all__ = [
+    "entropy",
+    "joint_entropy",
+    "mutual_information",
+    "kl_divergence",
+]

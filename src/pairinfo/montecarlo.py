@@ -60,7 +60,7 @@ from .measures import (
     mutual_information,
     mutual_information_rows,
 )
-from .pmf import _INT64_MAX, PmfLike, ZPmf, _integer, z_vector
+from .pmf import _INT64_MAX, PmfLike, ZPmf, _as_table, _integer, z_vector
 
 # Not called by the studies, but perfbench/tracing.py rebinds them here.
 from .inference import independence_test  # noqa: F401
@@ -435,7 +435,7 @@ def normality_study(
     # The plug-in bias at p over the positive cells, rows and columns is
     # -(k - 1)/2n for H and (kxy - kx - ky + 1)/2n for MI; past the standard
     # error sigma/sqrt(n), the t values centre near their ratio, not 0.
-    table = z_vector(p).reshape(p.shape.rows, p.shape.cols) > 0
+    table = _as_table(p) > 0
     cells, rows, cols = table.sum(), table.any(axis=1).sum(), table.any(axis=0).sum()
     terms = cells - rows - cols + 1 if measure == "mi" else 1 - cells
     ratio = terms / (2 * sigma * math.sqrt(n))

@@ -257,3 +257,15 @@ def marginal_x(p: PmfLike) -> np.ndarray:
 def marginal_y(p: PmfLike) -> np.ndarray:
     """Column-variable marginal (length ``cols``); sums to 1."""
     return _as_table(p).sum(axis=0)
+
+
+__all__ = [
+    "JointPmf",
+    "ZPmf",
+    "EmpiricalPmf",
+    "LabeledAlphabets",
+    "z_view",
+    "estimate_pmf",
+    "marginal_x",
+    "marginal_y",
+]

@@ -17,11 +17,13 @@ from pairinfo import (
     EmpiricalPmf,
     JointPmf,
     PairShape,
+    RngSpec,
     ZPmf,
     confidence_interval,
     entropy_variance,
     estimate_pmf,
     estimate_report,
+    joint_entropy,
     mi_variance,
     mutual_information,
     normal_quantile,
@@ -281,3 +283,19 @@ class TestCoverage:
         half_mi = z_alpha * math.sqrt(VMI_DEMO / n)
         cover_mi = (np.abs(batch_mis(freqs, 2, 2) - MI_DEMO) <= half_mi).mean()
         assert abs(cover_mi - 0.95) <= 0.02
+
+    def test_report_interval_covers_truth_at_pinned_rate(self):
+        """``estimate_report``'s own interval, from the estimated variance,
+        on a 2x2 table at n = 200; replicate i draws from substream i of
+        seed 9.  The rates were 0.941 (H) and 0.938 (MI) when pinned."""
+        z = ZPmf([0.3, 0.1, 0.15, 0.45], PairShape(2, 2))
+        truths = {"joint_entropy": joint_entropy(z), "mutual_information": mutual_information(z)}
+        covered = dict.fromkeys(truths, 0)
+        replicates = 1000
+        for i in range(replicates):
+            emp = EmpiricalPmf(RngSpec(9).substream(i).multinomial(200, z.probs), z.shape)
+            for measure, truth in truths.items():
+                report = estimate_report(measure, emp)
+                covered[measure] += report.ci_lower <= truth <= report.ci_upper
+        for measure, hits in covered.items():
+            assert 0.92 <= hits / replicates <= 0.97, (measure, hits)

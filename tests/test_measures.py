@@ -19,6 +19,7 @@ from pairinfo import (
     PairShape,
     ZPmf,
     entropy,
+    entropy_variance,
     joint_entropy,
     kl_divergence,
     marginal_x,
@@ -195,6 +196,47 @@ class TestMaskFreeKernels:
         table = np.diag([0.25, 0.25, 0.5])
         table[0, 1], table[1, 2], table[2, 0] = 5e-324, 1e-310, 3e-309
         self.assert_matches_reference(ZPmf(table.ravel(), PairShape(3, 3)))
+
+
+def centered_variance(probs, weights):
+    """Reference: the support's ``sum p (d - sum p d)^2`` with ``d = c - c[0]``."""
+    support = probs > 0
+    p, d = probs[support], weights[support] - weights[support][0]
+    return float((p * (d - (p * d).sum()) ** 2).sum())
+
+
+class TestVarianceFloors:
+    """Each variance floors its per-cell weights as the measure's kernel
+    floors its terms, pinned bit for bit on the kernels' floor tables.  On
+    the last table the whole entropy variance is the floored cell's term."""
+
+    @staticmethod
+    def floor_tables():
+        subnormal = np.diag([0.25, 0.25, 0.5])
+        subnormal[0, 1], subnormal[1, 2], subnormal[2, 0] = 5e-324, 1e-310, 3e-309
+        point_mass = np.diag([1.0, 0.0, 0.0])
+        point_mass[0, 1] = 5e-324
+        return [subnormal, np.diag([0.5, 0.5, 1e-200]), point_mass]
+
+    @pytest.mark.parametrize(
+        "which", [0, 1, 2], ids=["subnormal_cells", "underflowing_product", "point_mass"]
+    )
+    def test_variances_equal_floored_reference(self, which):
+        table = self.floor_tables()[which]
+        tiny = np.finfo(float).tiny
+        probs = table.ravel()
+        denom = np.outer(table.sum(axis=1), table.sum(axis=0))
+        pmi = np.log(np.maximum(table / np.maximum(denom, tiny), tiny)).ravel()
+        z = ZPmf(probs, PairShape(3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (entropy_variance(z), mi_variance(z))
+            want = (
+                centered_variance(probs, np.log(np.maximum(probs, tiny))),
+                centered_variance(probs, pmi),
+            )
+        assert got == want
+        assert all(math.isfinite(v) and v > 0 for v in got)
 
 
 def unbatched_mutual_information(table):

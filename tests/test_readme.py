@@ -1,5 +1,7 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its module map names
+only what each module exports."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -11,6 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+MAP = README.split("Module map:\n\n", 1)[1].split("\n\n", 1)[0]
+BULLETS = re.findall(r"^- `(pairinfo\.\w+)`:(.*?)(?=^- |\Z)", MAP, re.M | re.S)
 
 
 def _run(code):
@@ -43,3 +47,14 @@ def test_quick_start_prints_its_seeded_values():
         [228.96250465840652, 1.0037029365788026e-51], rel=1e-9
     )
     assert test[2] == "True"
+
+
+def test_module_map_names_only_exported_names():
+    """Each name a module-map bullet backticks is in the ``__all__`` of
+    the module the bullet names; dotted names are cross-references."""
+    public = {f"pairinfo.{f.stem}" for f in (ROOT / "src" / "pairinfo").glob("[!_]*.py")}
+    assert sorted(module for module, _ in BULLETS) == sorted(public)
+    for module, text in BULLETS:
+        names = [n for n in re.findall(r"`([^`]+)`", text) if n.isidentifier()]
+        exported = getattr(importlib.import_module(module), "__all__", [])
+        assert [n for n in names if n not in exported] == [], module
