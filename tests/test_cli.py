@@ -9,6 +9,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -28,7 +29,7 @@ from pairinfo.cli import (
     parse_sizes,
     serialize_counts_csv,
 )
-from pairinfo.pmf import LabeledAlphabets
+from pairinfo.pmf import _INT64_MAX, LabeledAlphabets
 
 DEMO_COUNTS_CSV = "x1,y1,2\nx1,y2,4\nx2,y1,1\nx2,y2,3\n"
 
@@ -109,6 +110,67 @@ def _trickle_text(seed: int, lines: int) -> str:
     return "".join(text)
 
 
+# Counts lines of each kind the record walk must take: lines the walk reads,
+# then lines it refuses.  {x} and {y} stand for the labels of a cell that
+# no other line names, {dx} and {dy} for those of a cell an earlier line
+# names.  A lone surrogate stands for the byte 0xff, which is not UTF-8.
+COUNTS_WALK_LINES = {
+    "quoted": '"{x}",{y},"3"\n',
+    "quoted_comma": '"{x},q",{y},3\n',
+    "quoted_newline": '"{x}\nq",{y},3\n',
+    "crlf": "{x},{y},4\r\n",
+    "plus": "{x},{y},+4\n",
+    "spaced_count": "{x},{y}, 7 \n",
+    "minus_zero": "{x},{y},-0\n",
+    "19_digits": "{x},{y},1000000000000000000\n",
+    "non_ascii": "{x}é,{y}𝄞,5\n",
+    "nul": "{x}\x00,{y},2\n",
+    "blank": "\n",
+    "spaced_labels": " {x} ,\t{y} ,6\n",
+    "19_digits_over": "{x},{y},9223372036854775808\n",
+    "20_digits": "{x},{y},10000000000000000000\n",
+    "duplicate": "{dx},{dy},1\n",
+    "stripped_duplicate": " {dx},{dy} ,1\n",
+    "invalid_utf8": "{x}\udcff,{y},1\n",
+    "ragged": "{x},{y}\n",
+}
+COUNTS_REFUSED = 6  # the last kinds, which raise
+
+
+@functools.lru_cache(maxsize=None)
+def _counts_fuzz_text(seed: int, lines: int) -> bytes:
+    """``lines`` plain counts lines, one per cell of a 40x40 table, with
+    labels either side of the 63-byte window and counts of 1 to 18 digits.
+    Lines of ``COUNTS_WALK_LINES`` are spliced in: the kind chosen by the
+    seed, in the second half for odd seeds, and after it every kind that
+    the walk reads, and for every third seed one that it refuses."""
+    rng = np.random.default_rng(seed)
+    pads = rng.choice([0, 40, 100, 180], size=(2, 40))
+    xs = [f"x{i:02d}" + "_" * pad for i, pad in enumerate(pads[0].tolist())]
+    ys = [f"y{j:02d}" + "-" * pad for j, pad in enumerate(pads[1].tolist())]
+    cells = rng.permutation(1600).tolist()
+    digits = rng.choice([1, 2, 3, 18], size=lines, p=[0.3, 0.4, 0.298, 0.002])
+    text = [
+        f"{xs[cell // 40]},{ys[cell % 40]},{rng.integers(10 ** (d - 1), 10**d)}\n"
+        for cell, d in zip(cells, digits.tolist())
+    ]
+    kinds = list(COUNTS_WALK_LINES)
+    first = kinds[seed % len(kinds)]
+    later = kinds[: -COUNTS_REFUSED]
+    if seed % 3 == 0:
+        later.append(kinds[-COUNTS_REFUSED:][rng.integers(COUNTS_REFUSED)])
+    at = int(rng.integers(lines // 2 if seed % 2 else 1, lines))
+    fresh = iter(cells[lines:])
+    for kind in [first, *later]:
+        cell, named = next(fresh), cells[rng.integers(at)]
+        line = COUNTS_WALK_LINES[kind].format(
+            x=xs[cell // 40], y=ys[cell % 40], dx=xs[named // 40], dy=ys[named % 40]
+        )
+        text.insert(at, line)
+        at = int(rng.integers(at + 1, len(text) + 1))
+    return "".join(text).encode("utf-8", "surrogateescape")
+
+
 class _Pipe(io.RawIOBase):
     """Bytes that can be read once but not sought, like a pipe."""
 
@@ -162,6 +224,76 @@ def _parsed(text, header=False):
 def _counts(text, header=False):
     """Parse the UTF-8 bytes of ``text`` as counts input."""
     return parse_counts_csv(io.BytesIO(text.encode()), header)
+
+
+def _walk_counts(data, header):
+    """Reference: read counts bytes record by record with ``_rows``, each
+    line decoded when it is read, and apply every counts rule to each."""
+    lines = (
+        text
+        for line in io.BytesIO(data.removeprefix(b"\xef\xbb\xbf"))
+        for text in io.StringIO(line.decode("utf-8"), newline="")
+    )
+    x_order, y_order, cells = {}, {}, {}
+    for lineno, (x, y, raw) in _rows(lines, header, 3):
+        x, y, raw = x.strip(), y.strip(), raw.strip()
+        if not re.fullmatch("[+-]?[0-9]+", raw):
+            raise ValueError(f"line {lineno}: count must be an integer, got {raw!r}")
+        count = int(raw)
+        if count < 0:
+            raise ValueError(f"line {lineno}: count must be nonnegative, got {count}")
+        if count > _INT64_MAX:
+            raise ValueError(f"line {lineno}: count must be at most {_INT64_MAX}, got {count}")
+        cell = (x_order.setdefault(x, len(x_order)), y_order.setdefault(y, len(y_order)))
+        if cell in cells:
+            raise ValueError(f"line {lineno}: duplicate cell ({x}, {y})")
+        cells[cell] = count
+    if not cells:
+        raise ValueError("empty input: no data rows")
+    counts = [0] * (len(x_order) * len(y_order))
+    for (xi, yi), count in cells.items():
+        counts[len(y_order) * xi + yi] = count
+    if not any(counts):
+        raise ValueError("all counts are zero: n = 0")
+    return LabeledAlphabets(tuple(x_order), tuple(y_order)), EmpiricalPmf(
+        np.array(counts, np.int64), PairShape(len(x_order), len(y_order))
+    )
+
+
+def _counts_outcome(parse, data, header):
+    """The labels and counts read from ``data``, or the error: its type and
+    message, or for invalid UTF-8 its reason and bytes, since the offset
+    it names is within the bytes decoded at once."""
+    try:
+        alphabets, emp = parse(io.BytesIO(data), header)
+    except UnicodeDecodeError as exc:
+        return "UnicodeDecodeError", exc.reason, exc.object[exc.start : exc.end]
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return alphabets.x_labels, alphabets.y_labels, emp.counts.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _counts_walked(data, header):
+    return _counts_outcome(lambda stream, head: _walk_counts(stream.read(), head), data, header)
+
+
+def _counts_parsed(data, header):
+    return _counts_outcome(parse_counts_csv, data, header)
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_counts_text(side: int = 100) -> str:
+    """A side x side counts table shaped as the benchmark's ``wide.csv``:
+    every cell, zeros too, x-major, labels in shuffled order, counts of a
+    multinomial draw from a flat Dirichlet."""
+    rng = np.random.default_rng(11)
+    counts = rng.multinomial(side**4, rng.dirichlet(np.ones(side * side)))
+    xs, ys = rng.permutation(side), rng.permutation(side)
+    return "".join(
+        f"r{x:03d},c{y:03d},{count}\n"
+        for (x, y), count in zip(((x, y) for x in xs for y in ys), counts.tolist())
+    )
 
 
 class TestParsePairsCsv:
@@ -318,6 +450,20 @@ class TestTrickleFuzz:
                 assert _parsed(text, header) == _walked(text, header), (block_bytes, header)
 
 
+class TestCountsFuzz:
+    """A seeded differential fuzz of the counts reader against the record
+    walk, on plain lines among lines of every kind the walk must take."""
+
+    @pytest.mark.parametrize("seed", range(len(COUNTS_WALK_LINES)))
+    def test_counts_match_the_record_walk(self, seed, monkeypatch):
+        data = _counts_fuzz_text(seed, 400)
+        for block_bytes in (7, 64, 1000, 65536):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            for header in (False, True):
+                outcome = _counts_parsed(data, header)
+                assert outcome == _counts_walked(data, header), (block_bytes, header)
+
+
 class TestKnownLineTable:
     """Lines that repeat are counted through a hash table, and the hash
     only picks a slot: every count must match the record walk's."""
@@ -377,8 +523,8 @@ class TestKnownLineTable:
 
         def looked_up(known, data, starts, lengths):
             for at, size in zip(starts.tolist(), lengths.tolist()):
-                if data[at : at + size] in known.ids and size <= cli._WINDOW:
-                    known_again.append(data[at : at + size])
+                if data[at : at + size + 1] in known.ids and size <= cli._WINDOW:
+                    known_again.append(data[at : at + size + 1])
             return real_listed(known, data, starts, lengths)
 
         def walk(*args):
@@ -454,6 +600,33 @@ class TestPairsEncoding:
 
 class TestWalkLog:
     """Handing over to the record walk logs where and why, once."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,y1,2\n" + '"x2",y1,3\n', "walking records from line 1: a line is not a plain cell"),
+            (
+                "".join(f"x{i:06d},y,1\n" for i in range(_BLOCK_BYTES // 12 + 10)) + "x,y,+1\n",
+                f"walking records from line {_BLOCK_BYTES // 12 + 1}: a line is not a plain cell",
+            ),
+            ("x1,y1,2\nx1, y1,3\n", "walking records from line 1: a cell is repeated"),
+            ("x1,y1,2\nx2,y1,0\n", None),
+        ],
+        ids=["quoted", "second_chunk", "repeated", "plain"],
+    )
+    def test_counts_walk_is_logged(self, caplog, text, message):
+        with caplog.at_level(logging.INFO, logger="pairinfo"):
+            try:
+                _counts(text)
+            except ValueError:
+                pass
+        assert caplog.messages == ([message] if message else [])
+
+    def test_label_that_does_not_decode_is_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="pairinfo"):
+            with pytest.raises(UnicodeDecodeError):
+                parse_counts_csv(io.BytesIO(b"x1,y1,2\nx\xff,y1,3\n"))
+        assert caplog.messages == ["walking records from line 1: a label is not UTF-8"]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -541,6 +714,24 @@ class TestParseCountsCsv:
             _counts(text)
 
 
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("ended", [True, False])
+def test_plain_counts_are_read_in_numpy(header, ended, monkeypatch):
+    """A 100x100 table shaped as the benchmark's ``wide.csv``, with or
+    without a header and a newline after its last line, is read without
+    the record walk."""
+    text = ("x,y,count\n" if header else "") + _wide_counts_text()
+    data = (text if ended else text[:-1]).encode()
+    expected = _counts_walked(data, header)
+    assert len(expected[0]) == len(expected[1]) == 100
+
+    def walk(*args):
+        raise AssertionError("the record walk was not expected")
+
+    monkeypatch.setattr(cli, "_rows", walk)
+    assert _counts_parsed(data, header) == expected
+
+
 class TestCountsReading:
     """Counts input is read as bytes, chunk by chunk, and walked record by
     record."""
@@ -579,6 +770,15 @@ class TestCountsReading:
     def test_byte_order_mark_only_at_start(self):
         alphabets, _ = _counts("\ufeffa,p,1\n\ufeffb,q,2\n")
         assert alphabets.x_labels == ("a", "\ufeffb")
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_label_beyond_csv_limit(self, header):
+        """A line of two commas and digits, but longer than csv's field
+        limit, is walked, and its record fails as csv fails it."""
+        data = ("a,p,1\nb,p,1\nc,p,1\n" + "x" * (csv.field_size_limit() + 1) + ",p,1\n").encode()
+        outcome = _counts_parsed(data, header)
+        assert outcome == ("ValueError", "line 4: field larger than field limit (131072)")
+        assert outcome == _counts_walked(data, header)
 
 
 class TestSerializeRoundTrip:
@@ -1408,7 +1608,7 @@ class TestCliErrors:
         assert "degenerate CLT" in capsys.readouterr().err
 
     # None allocates: the first two fail past sys.maxsize, and the third
-    # when Python refuses at once a list of 2**62 sizes.
+    # because numpy can make no array of 2**62 sample sizes.
     @pytest.mark.parametrize(
         "args, message",
         [
