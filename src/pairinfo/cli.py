@@ -108,20 +108,15 @@ _BLOCK_BYTES = 1 << 16
 _BLOCK_LINES = 4096
 _KNOWN_LINES = 1 << 16
 # The longest line, in bytes, that the known-line table holds (with its
-# newline, 8 words), and the most lines the table missed that one pass
-# pairs with their twins and looks up before the table is searched again,
-# which bounds the arrays and Python lists of a pass (unbatched, a first
-# chunk of 4-byte lines peaks at 1.43 MB, not 0.81; at 1024 lines a pass,
-# reading the benchmark's wide.csv takes about a third longer).
+# newline, 8 words), and the most lines looked up one by one before the
+# table is searched again, which bounds the Python lists of a lookup pass
+# (unbatched, a first chunk of 4-byte lines peaks at 1.73 MB, not 0.81).
 _WINDOW = 63
-_LOOKUP_LINES = 4096
-# The fewest such lines that a pass pairs with their twins: fewer cost less
-# to look up one by one, repeats and all.
-_PAIRED_LINES = 64
+_LOOKUP_LINES = 1024
 _BOM = b"\xef\xbb\xbf"
-# The ids of the blank lines, with their newline, in _KnownLines, and the
-# id of the first line met, after id 0 and the blank lines.
-_BLANK_IDS = {b"\n": 1, b"\r\n": 2}
+# The ids of the blank lines, without their newline, in _KnownLines, and
+# the id of the first line met, after id 0 and the blank lines.
+_BLANK_IDS = {b"": 1, b"\r": 2}
 _FIRST_ID = 1 + len(_BLANK_IDS)
 # Odd multipliers of a line's hash, one per 8-byte word of its key.
 _MULTIPLIERS = np.array([
@@ -178,10 +173,10 @@ def _chunks(stream: BinaryIO):
     follow ``end``, for the words :func:`_keys` reads past a line's end.
     A byte order mark is dropped from the first bytes read.
     """
-    buffer = stream.read(_BLOCK_BYTES)
-    if isinstance(buffer, str):
+    first = stream.read(_BLOCK_BYTES)
+    if isinstance(first, str):
         raise TypeError("input must be a binary stream, such as open(path, 'rb')")
-    buffer = bytearray(buffer.removeprefix(_BOM))
+    buffer = bytearray(first.removeprefix(_BOM))
     size = len(buffer)
     buffer += bytes(_BLOCK_BYTES + 2 * _WINDOW - size)
     while size:
@@ -233,15 +228,6 @@ def _keys(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list:
     return rows
 
 
-def _homes(rows: list, shift: np.uint64) -> np.ndarray:
-    """The slot, in a table of ``2 ** (64 - shift)``, where the search for
-    each key of ``rows`` starts: the top bits of a hash of the key."""
-    hashes = rows[0]
-    for row, multiplier in zip(rows[1:], _MULTIPLIERS[1:]):
-        hashes = hashes + row * multiplier
-    return (hashes >> shift).view(np.int64)
-
-
 def _slot_bits(lines: int) -> int:
     """Bits of a slot in a table for ``lines`` lines, at least 4 slots each."""
     return max(10, (4 * lines - 1).bit_length())
@@ -250,12 +236,12 @@ def _slot_bits(lines: int) -> int:
 class _KnownLines:
     """Distinct lines, numbered from 1 in the order they are first met.
 
-    ``ids`` maps each line, with the byte that ends it, to its number.
-    Each line of at most ``_WINDOW`` bytes also keeps its key
-    (:func:`_keys`), and a table of slots, at least 4 times as many as the
-    lines, holds its id: a hash of the key picks a slot ``h``, and the line
-    takes the first free one of ``h``, ``h ^ 1``, ..., ``h ^ reach``, where
-    ``reach`` is the farthest any line went.  Slots are emptied only when the table grows, and then
+    ``ids`` maps each line to its number.  Each line of at most
+    ``_WINDOW`` bytes also keeps its key (:func:`_keys`), and a table of
+    slots, at least 4 times as many as the lines, holds its id: a hash of
+    the key picks a slot ``h``, and the line takes the first free one of
+    ``h``, ``h ^ 1``, ..., ``h ^ reach``, where ``reach`` is the farthest
+    any line went.  Slots are emptied only when the table grows, and then
     every line takes one again, so each line has one while any is free.
     Id 0 is no line: its key, 8 newlines, is that of none.  The blank
     lines are held from the start, so they are found like lines met
@@ -277,7 +263,7 @@ class _KnownLines:
         self.shift = np.uint64(64 - bits)
         self.reach = 0
         ids = np.flatnonzero(self.words.any(axis=0))[1:]
-        ids, home = ids[::-1], _homes(list(self.words[:, ids]), self.shift)[::-1]
+        ids, home = ids[::-1], self._slots(list(self.words[:, ids]))[::-1]
         for step in range(self.slots.size):
             if not ids.size:
                 break
@@ -294,7 +280,7 @@ class _KnownLines:
         only picks the slots searched: a line is found only if one holds
         the id of its key."""
         rows = _keys(view, starts, lengths)
-        ids = _homes(rows, self.shift)
+        ids = self._slots(rows)
         # Ids as intp, which every later take and count needs.
         ids[...] = self.slots.take(ids)
         missing = np.flatnonzero(~self._same(ids, rows))
@@ -303,13 +289,20 @@ class _KnownLines:
         # A line whose slot holds another line may be in the slots after it.
         if missing.size and self.reach:
             steps = np.arange(1, self.reach + 1)[:, None]
-            held = self.slots.take(_homes(rows, self.shift) ^ steps)
+            held = self.slots.take(self._slots(rows) ^ steps)
             # Each line is in one slot at most.
             found = (held * self._same(held, rows)).sum(axis=0)
             ids[missing] = found
             left = np.flatnonzero(found == 0)
             missing, rows = missing[left], [row[left] for row in rows]
         return ids, missing.astype(starts.dtype), rows
+
+    def _slots(self, rows: list) -> np.ndarray:
+        """The slot where the search for each key of ``rows`` starts."""
+        hashes = rows[0]
+        for row, multiplier in zip(rows[1:], _MULTIPLIERS[1:]):
+            hashes = hashes + row * multiplier
+        return (hashes >> self.shift).view(np.int64)
 
     def _same(self, ids: np.ndarray, rows: list) -> np.ndarray:
         """Whether the line of each of ``ids`` has the key ``rows``.  A key
@@ -335,7 +328,7 @@ class _KnownLines:
         # Past the first chunks, a chunk meets a few new lines, which cost
         # less one at a time than in the numpy step loop of _grow.
         slots, size = memoryview(self.slots), self.slots.size
-        for number, home in zip(ids, _homes(rows, self.shift).tolist()):
+        for number, home in zip(ids, self._slots(rows).tolist()):
             step = 0
             while step < size and slots[home ^ step]:
                 step += 1
@@ -345,16 +338,16 @@ class _KnownLines:
 
 
 def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
-    """The ids of the lines ``data[start : start + length]``, each with the
-    byte that ends it, looked up one at a time in ``known.ids``: lines the
-    table did not find, which are new lines, lines over the window and, only
-    while no slot is free, others.  New lines take the next ids in the order
-    they are met.  Also returns the index of each new line that fits the
-    window, and the bytes of every new line with its end byte."""
+    """The ids of the lines ``data[start : start + length]``, looked up one
+    at a time in ``known.ids``: lines the table did not find, which are new
+    lines, lines over the window and, only while no slot is free, others.
+    New lines take the next ids in the order they are met.  Also returns
+    the index of each new line that fits the window, and the bytes of
+    every new line."""
     ids = known.ids
     found, fresh, met = [], [], []
     for index, (at, size) in enumerate(zip(starts.tolist(), lengths.tolist())):
-        line = data[at : at + size + 1]
+        line = data[at : at + size]
         number = ids.get(line)
         if number is None:
             number = ids[line] = len(ids) + 1
@@ -366,15 +359,14 @@ def _listed_ids(known: _KnownLines, data: bytes, starts, lengths):
 
 
 def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
-    """The row of each of ``lines``, which end in a newline, past the first
-    ``head``.
+    """The row of each of ``lines`` past the first ``head``.
 
     Returns ``None`` unless each of ``lines`` is one whole record of UTF-8,
     of 2 fields past the head, and none holds a carriage return before its
     last byte, where text mode would end a line that ``b"\\n"`` does not.
     """
     # A blank line follows the lines.
-    joined = b"".join(lines) + b"\n"
+    joined = b"\n".join(lines) + b"\n\n"
     if b"\r" in joined.replace(b"\r\n", b""):
         return None
     try:
@@ -392,11 +384,10 @@ def _new_rows(lines: list[bytes], head: int) -> list[list[str]] | None:
 
 
 def _line_ids(known: _KnownLines, buffer: bytearray, end: int, starts, lengths):
-    """The id in ``known`` of each line ``buffer[start : start + length]``,
-    each followed by a byte that none of them holds: a line's newline, or a
-    label's comma.  Lines are keyed with that byte, so one reader serves
-    lines and fields.  Also returns the bytes, with that byte, of each line
-    met for the first time, which ``known`` now holds too."""
+    """The id in ``known`` of each line ``buffer[start : start + length]``
+    of ``buffer[:end]``, and the bytes of each line met for the first time,
+    which ``known`` now holds too.  A line is keyed with the byte after it,
+    its newline or, for a label of a counts line, its comma."""
     view = np.frombuffer(buffer, np.uint8)
     ids, listed, keys = known.find(view, starts, lengths)
     data = bytes(memoryview(buffer)[:end]) if listed.size else b""
@@ -409,46 +400,20 @@ def _line_ids(known: _KnownLines, buffer: bytearray, end: int, starts, lengths):
             # The lines left may repeat those just met.
             ids[part], missing, part_keys = known.find(view, starts[part], lengths[part])
             part = part[missing]
-        looked, twins = part, None
-        if part.size >= _PAIRED_LINES:
-            # A line takes the id of its twin, which alone is looked up.
-            twins = _twins(part_keys, lengths[part] <= _WINDOW)
-            own = np.flatnonzero(twins == np.arange(twins.size))
-            looked, part_keys = part[own], [row[own] for row in part_keys]
-        found, fresh, met = _listed_ids(known, data, starts[looked], lengths[looked])
-        ids[looked] = found
+        found, fresh, met = _listed_ids(known, data, starts[part], lengths[part])
+        ids[part] = found
         known.add([found[i] for i in fresh], [row[fresh] for row in part_keys])
-        if twins is not None:
-            ids[part] = ids[part[twins]]
         lines += met
     return ids, lines
-
-
-def _twins(rows: list, short: np.ndarray) -> np.ndarray:
-    """For each line keyed by ``rows``, the index of the first line of its
-    key that a hash of the key puts in the same slot of a scratch table of
-    a slot or two a line, else its own.  Only lines that fit the window
-    (``short``) have twins: a longer line's key holds only its first 64
-    bytes."""
-    index = np.arange(short.size)
-    bits = short.size.bit_length()
-    homes = _homes(rows, np.uint64(64 - bits))
-    first = np.empty(1 << bits, np.intp)
-    # Where lines share a slot, the first one met wins.
-    first[homes[::-1]] = index[::-1]
-    twins = first.take(homes)
-    for row in rows:
-        short = short & (row.take(twins) == row)
-    return np.where(short, twins, index)
 
 
 def _tallied_chunk(known: _KnownLines, buffer: bytearray, end: int, head: int):
     """How many lines of ``buffer[:end]`` have each id in ``known``, how
     many lines it holds, and the bytes of its first ``head`` lines, which
     are not looked up, then of each line met for the first time, which
-    ``known`` now holds too; each line with its newline."""
+    ``known`` now holds too."""
     starts, lengths = _lines(np.frombuffer(buffer, np.uint8, end))
-    lines = [bytes(buffer[: lengths[0] + 1])] if head else []
+    lines = [bytes(buffer[: lengths[0]])] if head else []
     ids, met = _line_ids(known, buffer, end, starts[head:], lengths[head:])
     return np.bincount(ids, minlength=len(known.ids) + 1), ids.size + head, lines + met
 
@@ -469,8 +434,8 @@ def _cell_batches(
     one running tally counts every line by its id in :class:`_KnownLines`,
     whose table is searched in numpy for every line of the chunk at once.
     New lines and lines over ``_WINDOW`` bytes are looked up one by one
-    with :func:`_listed_ids`, a new line once a chunk (:func:`_line_ids`),
-    and only new lines are decoded and parsed, each into a cell.  The tallied cells are yielded at the end of the
+    with :func:`_listed_ids`, and only new lines are decoded and parsed,
+    each into a cell.  The tallied cells are yielded at the end of the
     stream, or once the tally holds over ``_KNOWN_LINES`` distinct lines,
     when it starts afresh so that memory stays bounded.  From the first
     chunk past the first where over a quarter of the lines are new, or that
@@ -531,13 +496,13 @@ def parse_pairs_csv(
     ``rows * cols`` counts, where cell ``cols * x + y`` counts the rows
     with x label index ``x`` and y label index ``y``.  A line is decoded
     and parsed only when it is first met, and repeats are counted in numpy
-    (:func:`_cell_batches`), through the table of known lines that
-    :func:`parse_counts_csv` keeps for its labels.  From a chunk of many
-    new lines, or one holding a line that is not one whole record (a quoted
-    label that spans lines, a ragged row, a carriage return inside a line),
-    the labels and cells so far are kept and the rest is decoded and read
-    record by record, with the same result and ``line N:`` errors, and one
-    line on the ``pairinfo`` logger says where and why.  Invalid UTF-8 raises ``UnicodeDecodeError``, unless a bad record
+    (:func:`_cell_batches`) through :func:`_line_ids`, which also looks up
+    the labels of :func:`parse_counts_csv`.  From a chunk of many new lines, or one
+    holding a line that is not one whole record (a quoted label that spans
+    lines, a ragged row, a carriage return inside a line), the rest is
+    decoded and read record by record, with the same result and ``line
+    N:`` errors, and one line on the ``pairinfo`` logger says where and
+    why.  Invalid UTF-8 raises ``UnicodeDecodeError``, unless a bad record
     comes before it in the file, whatever the chunk size.  No per-row list
     is kept, so memory grows with the table, not the rows.  The stream is
     read once, from its current position, and need not be seekable.
@@ -574,99 +539,67 @@ def _room(counts: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return counts
 
 
-# The most digits of a count that the field path reads: 10**18 - 1 fits in
-# int64, and any count csv would read otherwise goes to the record walk.
-_COUNT_DIGITS = 18
-# Bytes that no plain counts line holds: a quote, a carriage return, NUL.
-_UNPLAIN = (b'"', b"\r", b"\0")
+# The fewest lines of a first counts chunk split in numpy: at 512 lines the
+# split and the walk each take about 1.3 ms on a 2-vCPU Xeon.
+_FIELD_LINES = 512
 
 
-def _plain_cells(buffer: bytearray, end: int, head: int):
-    """The cells of the lines of ``buffer[:end]`` past the first ``head``,
-    if each is blank or plain, else ``None``.
+def parse_counts_csv(
+    stream: BinaryIO, header: bool = False
+) -> tuple[LabeledAlphabets, EmpiricalPmf]:
+    """Read one cell per row (x label, y label, count).
 
-    A plain line is two labels and a count of 1 to 18 ASCII digits, with
-    no other comma and no byte of ``_UNPLAIN``, and no longer in bytes than
-    csv's field limit, so csv reads it as one record of three fields whose
-    count is an int64 that no rule refuses.  The head line need only hold
-    no byte of ``_UNPLAIN``, be that short and decode.  Returns the start
-    and length of each x label, those of each y label, and each count, of
-    the lines that are not blank, then the number of lines in the chunk.
+    Cells never mentioned get count 0; mentioning a cell twice is an
+    error.  At least one count must be positive, and every count must fit
+    in a signed 64-bit integer.  ``stream`` is binary and is read a chunk
+    of whole lines at a time, as :func:`parse_pairs_csv` reads it.  A chunk
+    of plain lines (:func:`pairinfo._fields.plain_cells`) is split in
+    numpy: only labels new to their column are decoded and stripped, and
+    counts are read from their digits.  From the first chunk with another
+    line or a cell met before, the labels and cells so far are kept and
+    the rest is walked record by record with every rule of the format, so
+    the first bad line in the file decides the error, and one line on the
+    ``pairinfo`` logger says where and why.  A first chunk of under
+    ``_FIELD_LINES`` lines is walked without a log line.
     """
-    if any(buffer.find(byte, 0, end) >= 0 for byte in _UNPLAIN):
-        return None
-    chunk = np.frombuffer(buffer, np.uint8, end)
-    starts, lengths = _lines(chunk)
-    if lengths.max() > csv.field_size_limit():
-        return None
-    commas = np.flatnonzero(chunk == 44)
-    if head:
-        try:
-            buffer[: lengths[0]].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        commas = commas[commas > lengths[0]]
-    lines = starts.size
-    starts, lengths = starts[head:], lengths[head:]
-    if lengths.min(initial=1) == 0:
-        starts, lengths = starts[lengths > 0], lengths[lengths > 0]
-    ends = starts + lengths
-    # Pair i of the commas lies in line i only if every line holds two.
-    if commas.size != 2 * starts.size:
-        return None
-    xs, ys = commas[0::2], commas[1::2]
-    if not ((xs >= starts) & (ys < ends)).all():
-        return None
-    digits = ends - ys - 1
-    width = int(digits.max(initial=1))
-    if digits.min(initial=1) < 1 or width > _COUNT_DIGITS:
-        return None
-    counts = np.zeros(starts.size, np.int64)
-    # Digit columns, aligned on the right: a column left of a count adds 0.
-    for column in range(width):
-        at = ends - (width - column)
-        inside = at > ys
-        digit = chunk.take(at, mode="clip") - np.uint8(48)
-        if (inside & (digit > 9)).any():
-            return None
-        counts = counts * 10 + digit * inside
-    return (starts, xs - starts), (xs + 1, ys - xs - 1), counts, lines
+    x_order: dict[str, int] = {}
+    y_order: dict[str, int] = {}
+    cells: dict[tuple[int, int], int] = {}
+    labels = None
+    # Each cell's count, and whether a line named it.
+    table, seen = np.zeros((0, 0), np.int64), np.zeros((0, 0), bool)
+    read = 0  # lines read so far, each one whole record
+    walked = None  # the lines left to the record walk
+    chunks = _chunks(stream)
+    for buffer, end in chunks:
+        plain = reason = None
+        if read or buffer.count(b"\n", 0, end) >= _FIELD_LINES:
+            from ._fields import Labels, plain_cells  # loaded by many-line files only
 
-
-class _Labels:
-    """The raw labels of one column of a counts file, known by their bytes
-    and their closing comma, and the index in ``order`` of each, which maps
-    each label, stripped, to its index in first-appearance order."""
-
-    def __init__(self, order: dict[str, int]):
-        self.known = _KnownLines()
-        self.order = order
-        # The index of each id, after stand-ins for those below _FIRST_ID.
-        self.index = np.zeros(_FIRST_ID, np.intp)
-
-    def indices(self, buffer: bytearray, end: int, starts, lengths) -> np.ndarray:
-        """The index of each label ``buffer[start : start + length]``; a new
-        label that does not decode raises ``UnicodeDecodeError``."""
-        ids, met = _line_ids(self.known, buffer, end, starts, lengths)
-        if met:
-            texts = [raw[:-1].decode("utf-8").strip() for raw in met]
-            new = [self.order.setdefault(text, len(self.order)) for text in texts]
-            self.index = np.concatenate([self.index, new])
-        return self.index[ids]
-
-
-def _walked_counts(
-    records: Iterable[str],
-    header: bool,
-    start: int,
-    x_order: dict[str, int],
-    y_order: dict[str, int],
-    cells: dict[tuple[int, int], int],
-):
-    """Add the cell and count of each row walked with :func:`_rows`, the
-    first numbered ``start``, to ``cells``, raising every ``line N:``
-    error of the counts format."""
-    for lineno, (x, y, raw) in _rows(records, header, 3, start):
+            plain = plain_cells(buffer, end, 1 if header and not read else 0)
+            reason = "a line is not a plain cell"
+        if plain is not None:
+            *fields, counts, lines = plain
+            labels = labels or (Labels(x_order), Labels(y_order))
+            xs, ys = (column.indices(buffer, end, *f) for column, f in zip(labels, fields))
+            table = _room(table, len(x_order), len(y_order))
+            seen = _room(seen, len(x_order), len(y_order))
+            flat = xs * table.shape[1] + ys
+            ordered = np.sort(flat)
+            if not (seen.reshape(-1)[flat].any() or (ordered[1:] == ordered[:-1]).any()):
+                table.reshape(-1)[flat], seen.reshape(-1)[flat] = counts, True
+                read += lines
+                continue
+            reason = "a cell is repeated"
+        if reason:
+            log.info("walking records from line %d: %s", read + 1, reason)
+        rows, cols = np.nonzero(seen)
+        cells = dict(zip(zip(rows.tolist(), cols.tolist()), table[rows, cols].tolist()))
+        # The chunk's lines, then those of the chunks after it.
+        runs = chain([buffer[:end]], (run[:stop] for run, stop in chunks))
+        walked = _rows(_text_lines(runs), header, 3, read + 1)
+        break
+    for lineno, (x, y, raw) in walked or ():
         x, y, raw = x.strip(), y.strip(), raw.strip()
         try:
             # int() also reads "1_0", "٣" and "１２" as 10, 3 and 12.
@@ -687,68 +620,12 @@ def _walked_counts(
         if key in cells:
             raise ValueError(f"line {lineno}: duplicate cell ({x}, {y})")
         cells[key] = count
-
-
-def parse_counts_csv(
-    stream: BinaryIO, header: bool = False
-) -> tuple[LabeledAlphabets, EmpiricalPmf]:
-    """Read one cell per row (x label, y label, count).
-
-    Cells never mentioned get count 0; mentioning a cell twice is an
-    error.  At least one count must be positive, and every count must fit
-    in a signed 64-bit integer.  ``stream`` is binary and is read a chunk
-    of whole lines at a time, as :func:`parse_pairs_csv` reads it.  A chunk
-    of plain lines (:func:`_plain_cells`) is split in numpy: each label is
-    looked up in a table of the known labels of its column, only new ones
-    are decoded and stripped, and the counts are read from their digits.
-    From the first chunk with another line, a label that does not decode or
-    a cell met before, the labels and cells so far go to a record walk of
-    the rest (:func:`_walked_counts`), which applies every rule of the
-    format, so the first bad line in the file decides the error, and one
-    line on the ``pairinfo`` logger says where and why.
-    """
-    x_order: dict[str, int] = {}
-    y_order: dict[str, int] = {}
-    labels = _Labels(x_order), _Labels(y_order)
-    # Each cell's count, and whether a line named it.
-    table = np.zeros((0, 0), np.int64)
-    seen = np.zeros((0, 0), bool)
-    read = 0  # lines read so far, each one whole record
-    chunks = _chunks(stream)
-    for buffer, end in chunks:
-        plain = _plain_cells(buffer, end, 1 if header and not read else 0)
-        reason = "a line is not a plain cell"
-        if plain is not None:
-            *fields, counts, lines = plain
-            try:
-                xs, ys = (column.indices(buffer, end, *f) for column, f in zip(labels, fields))
-            except UnicodeDecodeError:
-                reason = "a label is not UTF-8"
-            else:
-                table = _room(table, len(x_order), len(y_order))
-                seen = _room(seen, len(x_order), len(y_order))
-                flat = xs * table.shape[1] + ys
-                ordered = np.sort(flat)
-                if seen.reshape(-1)[flat].any() or (ordered[1:] == ordered[:-1]).any():
-                    reason = "a cell is repeated"
-                else:
-                    table.reshape(-1)[flat] = counts
-                    seen.reshape(-1)[flat] = True
-                    read += lines
-                    continue
-        log.info("walking records from line %d: %s", read + 1, reason)
-        rows, cols = np.nonzero(seen)
-        cells = dict(zip(zip(rows.tolist(), cols.tolist()), table[rows, cols].tolist()))
-        # The chunk's lines, then those of the chunks after it.
-        runs = chain([buffer[:end]], (run[:stop] for run, stop in chunks))
-        _walked_counts(_text_lines(runs), header, read + 1, x_order, y_order, cells)
-        table = _room(table, len(x_order), len(y_order))
-        if cells:
-            rows, cols = np.array(list(cells), np.intp).T
-            table[rows, cols] = list(cells.values())
-        break
     if not x_order:
         raise ValueError("empty input: no data rows")
+    table = _room(table, len(x_order), len(y_order))
+    if cells:
+        rows, cols = np.array(list(cells), np.intp).T
+        table[rows, cols] = list(cells.values())
     alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
     counts = table[: len(x_order), : len(y_order)].ravel()
     if not counts.any():

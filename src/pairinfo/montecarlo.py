@@ -48,7 +48,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,35 +264,12 @@ def _drawn_block(statistic: Callable, weights: np.ndarray, k: int, gens, sizes) 
     return statistic(counts / sizes[:, None])
 
 
-def _sample_sizes(sizes: Sequence[int]) -> np.ndarray:
-    """``sizes`` as int64, once each is checked to be an integer from 1 to
-    the largest int64, which past its range would overflow."""
-    if not set(map(type, sizes)) <= {int}:
-        sizes = [_integer(n, "sample size") for n in sizes]
-    if min(sizes, default=1) < 1 or max(sizes, default=1) > _INT64_MAX:
-        bad = next(n for n in sizes if not 1 <= n <= _INT64_MAX)
-        bound = "at least 1" if bad < 1 else f"at most {_INT64_MAX}"
-        raise ValueError(f"sample size must be {bound}, got {bad}")
-    return np.array(sizes, dtype=np.int64)
-
-
-def _repeated(n, replicates: int) -> np.ndarray:
-    """A read-only view that repeats the sample size ``n``, once checked,
-    ``replicates`` times.  Past 2**60 replicates numpy can make no such
-    array, nor one of their results, so that raises ``MemoryError``."""
-    checked = _sample_sizes([n])
-    try:
-        return np.broadcast_to(checked, replicates)
-    except ValueError:
-        raise MemoryError(f"no array holds {replicates} replicates") from None
-
-
-def _replicates(p: PmfLike, sizes: np.ndarray, rng: RngSpec, statistic: Callable) -> np.ndarray:
+def _replicates(
+    p: PmfLike, sizes: Sequence[int], rng: RngSpec, statistic: Callable, replicates=None
+) -> np.ndarray:
     """``statistic`` of the replicates' frequencies, joined along its last axis.
 
-    ``sizes`` holds int64 sample sizes from :func:`_sample_sizes`, or
-    :func:`_repeated` ones.  Replicate ``i`` is one
-    ``multinomial(sizes[i], ...)`` draw from
+    Replicate ``i`` is one ``multinomial(sizes[i], ...)`` draw from
     substream ``(master_seed, i)``, and ``statistic`` maps a block of
     ``max(1, _BLOCK_CELLS // k)`` consecutive replicates, a row each, to an
     array with a value per row on its last axis.  The draw weighs the cells
@@ -306,45 +283,44 @@ def _replicates(p: PmfLike, sizes: np.ndarray, rng: RngSpec, statistic: Callable
     cells, each block (its draws, division and statistic) runs on one of a
     pool of threads, one per CPU, at most two blocks per thread in flight;
     the caller builds the substreams and gathers the results in index
-    order.  Otherwise each substream is built as its row is drawn.  The
-    results are written into one array, made once the first block is done,
-    so a study too large for memory fails then; no thread outlives the call.
+    order.  Otherwise each substream is built as its row is drawn.  Every
+    size is checked before the first draw, and no thread outlives the call.
+    Given ``replicates``, ``sizes`` holds the one size of them all, which a
+    read-only view repeats: no list or array holds a size per replicate.
     """
+    if not set(map(type, sizes)) <= {int}:
+        sizes = [_integer(n, "sample size") for n in sizes]
+    # Checked before int64 holds them, which past its range would overflow.
+    if min(sizes, default=1) < 1 or max(sizes, default=1) > _INT64_MAX:
+        bad = next(n for n in sizes if not 1 <= n <= _INT64_MAX)
+        bound = "at least 1" if bad < 1 else f"at most {_INT64_MAX}"
+        raise ValueError(f"sample size must be {bound}, got {bad}")
+    sizes = np.array(sizes, dtype=np.int64)
+    if replicates is not None:
+        try:
+            sizes = np.broadcast_to(sizes, replicates)
+        except ValueError:  # numpy makes no view of 2**60 int64 or more
+            raise MemoryError(f"no array holds {replicates} replicates") from None
     probs = z_vector(p)
     support = np.flatnonzero(probs)
     weights = probs[: support[-1] + 1] / probs[support].sum()
     block = functools.partial(_drawn_block, statistic, weights, probs.size)
     rows = max(1, _BLOCK_CELLS // probs.size)
     streams = range(sizes.size)
-    blocks = ((streams[i : i + rows], sizes[i : i + rows]) for i in streams[::rows])
+    blocks = [(streams[i : i + rows], sizes[i : i + rows]) for i in streams[::rows]]
     threads = _cpus()
     if threads < 2 or support.size < _POOL_MIN_CELLS:
-        return _joined((block(map(rng.substream, s), n) for s, n in blocks), sizes.size)
+        return np.concatenate([block(map(rng.substream, s), n) for s, n in blocks], axis=-1)
     from concurrent.futures import ThreadPoolExecutor
 
-    def pooled(pool):
-        pending = deque()
+    results, pending = [], deque()
+    with ThreadPoolExecutor(threads) as pool:
         for s, n in blocks:
             pending.append(pool.submit(block, [rng.substream(i) for i in s], n))
             if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-    with ThreadPoolExecutor(threads) as pool:
-        return _joined(pooled(pool), sizes.size)
-
-
-def _joined(parts: Iterable[np.ndarray], size: int) -> np.ndarray:
-    """``parts`` joined along their last axis, ``size`` values in all, into
-    an array made when the first part comes."""
-    joined, at = None, 0
-    for part in parts:
-        if joined is None:
-            joined = np.empty(part.shape[:-1] + (size,), part.dtype)
-        joined[..., at : at + part.shape[-1]] = part
-        at += part.shape[-1]
-    return joined
+                results.append(pending.popleft().result())
+        results.extend(future.result() for future in pending)
+    return np.concatenate(results, axis=-1)
 
 
 def _replicate_count(replicates, least: int, study: str) -> int:
@@ -389,7 +365,6 @@ def convergence_trace(
     def statistic(freqs: np.ndarray) -> np.ndarray:
         return np.stack((kernel(freqs), np.abs(freqs - probs).max(axis=1)))
 
-    sizes = _sample_sizes(sizes)
     estimates, a_zn = _replicates(p, sizes, rng, statistic)
     abs_errors = np.abs(estimates - truth)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -397,7 +372,7 @@ def convergence_trace(
     return ConvergenceTrace(
         measure=measure,
         true_value=truth,
-        sizes=sizes,
+        sizes=np.array(sizes, dtype=np.int64),
         estimates=estimates,
         abs_errors=abs_errors,
         a_zn=a_zn,
@@ -483,7 +458,7 @@ def normality_study(
             "warning: plug-in %s bias at the true p.m.f. is %.3g standard errors "
             "at n = %d; the t values centre near it, not 0", measure, ratio, n,
         )
-    estimates = _replicates(p, _repeated(n, replicates), rng, kernel)
+    estimates = _replicates(p, [n], rng, kernel, replicates)
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
@@ -528,7 +503,7 @@ def rejection_rate(
     def rejects(freqs: np.ndarray) -> np.ndarray:
         return 2.0 * n * kernel(freqs) > threshold  # 2n MI, as lrt_statistic computes it
 
-    return int(_replicates(p, _repeated(n, replicates), rng, rejects).sum()) / replicates
+    return int(_replicates(p, [n], rng, rejects, replicates).sum()) / replicates  # checks n
 
 
 class VarianceCheck(NamedTuple):
@@ -549,7 +524,7 @@ def variance_check(
     delta-method variance at the true p.m.f."""
     _, variance, kernel = _measure(measure, p)  # an unknown measure fails here
     replicates = _replicate_count(replicates, 2, "variance check")
-    estimates = _replicates(p, _repeated(n, replicates), rng, kernel)
+    estimates = _replicates(p, [n], rng, kernel, replicates)
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),
         canonical=variance(p),

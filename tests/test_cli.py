@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairinfo import EmpiricalPmf, PairShape, cli
+from pairinfo import EmpiricalPmf, PairShape, _fields, cli
 from pairinfo.cli import (
     _BLOCK_BYTES,
     _rows,
@@ -452,11 +452,14 @@ class TestTrickleFuzz:
 
 class TestCountsFuzz:
     """A seeded differential fuzz of the counts reader against the record
-    walk, on plain lines among lines of every kind the walk must take."""
+    walk, on plain lines among lines of every kind the walk must take.
+    With ``_FIELD_LINES`` at 0, the first chunk is split in numpy too."""
 
+    @pytest.mark.parametrize("field_lines", [0, cli._FIELD_LINES])
     @pytest.mark.parametrize("seed", range(len(COUNTS_WALK_LINES)))
-    def test_counts_match_the_record_walk(self, seed, monkeypatch):
+    def test_counts_match_the_record_walk(self, seed, field_lines, monkeypatch):
         data = _counts_fuzz_text(seed, 400)
+        monkeypatch.setattr(cli, "_FIELD_LINES", field_lines)
         for block_bytes in (7, 64, 1000, 65536):
             monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
             for header in (False, True):
@@ -523,8 +526,8 @@ class TestKnownLineTable:
 
         def looked_up(known, data, starts, lengths):
             for at, size in zip(starts.tolist(), lengths.tolist()):
-                if data[at : at + size + 1] in known.ids and size <= cli._WINDOW:
-                    known_again.append(data[at : at + size + 1])
+                if data[at : at + size] in known.ids and size <= cli._WINDOW:
+                    known_again.append(data[at : at + size])
             return real_listed(known, data, starts, lengths)
 
         def walk(*args):
@@ -614,7 +617,8 @@ class TestWalkLog:
         ],
         ids=["quoted", "second_chunk", "repeated", "plain"],
     )
-    def test_counts_walk_is_logged(self, caplog, text, message):
+    def test_counts_walk_is_logged(self, caplog, monkeypatch, text, message):
+        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
         with caplog.at_level(logging.INFO, logger="pairinfo"):
             try:
                 _counts(text)
@@ -622,11 +626,26 @@ class TestWalkLog:
                 pass
         assert caplog.messages == ([message] if message else [])
 
-    def test_label_that_does_not_decode_is_logged(self, caplog):
+    def test_counts_chunk_that_does_not_decode_is_logged(self, caplog, monkeypatch):
+        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
         with caplog.at_level(logging.INFO, logger="pairinfo"):
             with pytest.raises(UnicodeDecodeError):
                 parse_counts_csv(io.BytesIO(b"x1,y1,2\nx\xff,y1,3\n"))
-        assert caplog.messages == ["walking records from line 1: a label is not UTF-8"]
+        assert caplog.messages == ["walking records from line 1: a line is not a plain cell"]
+
+    def test_short_counts_file_is_walked_unlogged(self, caplog, monkeypatch):
+        """A first chunk of under ``_FIELD_LINES`` lines costs less to walk
+        than to split: it is walked, and nothing is logged."""
+
+        def split(*args):
+            raise AssertionError("the short file was not expected to be split")
+
+        monkeypatch.setattr(_fields, "plain_cells", split)
+        text = "".join(f"x{i},y,1\n" for i in range(cli._FIELD_LINES - 1))
+        with caplog.at_level(logging.INFO, logger="pairinfo"):
+            alphabets, _ = _counts(text)
+        assert len(alphabets.x_labels) == cli._FIELD_LINES - 1
+        assert caplog.messages == []
 
     @pytest.mark.parametrize(
         "text, message",
@@ -771,10 +790,20 @@ class TestCountsReading:
         alphabets, _ = _counts("\ufeffa,p,1\n\ufeffb,q,2\n")
         assert alphabets.x_labels == ("a", "\ufeffb")
 
+    def test_long_labels_that_share_the_window(self, monkeypatch):
+        """Labels past the 63-byte window whose first 64 bytes agree are
+        still told apart where one follows another."""
+        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
+        data = "".join(f"{'a' * 70}{i},{'p' * 70}{i % 2},1\n" for i in range(300)).encode()
+        outcome = _counts_parsed(data, False)
+        assert (len(outcome[0]), len(outcome[1])) == (300, 2)
+        assert outcome == _counts_walked(data, False)
+
     @pytest.mark.parametrize("header", [False, True])
-    def test_label_beyond_csv_limit(self, header):
+    def test_label_beyond_csv_limit(self, header, monkeypatch):
         """A line of two commas and digits, but longer than csv's field
         limit, is walked, and its record fails as csv fails it."""
+        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
         data = ("a,p,1\nb,p,1\nc,p,1\n" + "x" * (csv.field_size_limit() + 1) + ",p,1\n").encode()
         outcome = _counts_parsed(data, header)
         assert outcome == ("ValueError", "line 4: field larger than field limit (131072)")
@@ -1608,7 +1637,7 @@ class TestCliErrors:
         assert "degenerate CLT" in capsys.readouterr().err
 
     # None allocates: the first two fail past sys.maxsize, and the third
-    # because numpy can make no array of 2**62 sample sizes.
+    # when Python refuses at once a list of 2**62 sizes.
     @pytest.mark.parametrize(
         "args, message",
         [

@@ -133,8 +133,7 @@ class TestCountEngine:
 
     def test_counts_follow_the_multinomial_law(self, demo_z):
         n, replicates, k = 1000, 400, demo_z.shape.size
-        sizes = montecarlo._repeated(n, replicates)
-        freqs = montecarlo._replicates(demo_z, sizes, RngSpec(3), np.transpose).T
+        freqs = montecarlo._replicates(demo_z, [n] * replicates, RngSpec(3), np.transpose).T
         counts = np.rint(freqs * n).astype(np.int64)
         assert counts.shape == (replicates, k)
         assert (counts.sum(axis=1) == n).all()
@@ -515,8 +514,7 @@ def _run_variance_replicates(z, value):
 
 def _run_replicate_sizes(z, value):
     # One odd size among plain ints leaves the one-pass check of plain ints.
-    sizes = montecarlo._sample_sizes([1000] * 5 + [value])
-    return montecarlo._replicates(z, sizes, RngSpec(0), np.transpose)
+    return montecarlo._replicates(z, [1000] * 5 + [value], RngSpec(0), np.transpose)
 
 
 def _values(result):
@@ -814,8 +812,7 @@ class TestDrawThreads:
         monkeypatch.setattr(RngSpec, "substream", counting)
         self._force_threads(monkeypatch, 2)
         with pytest.raises(ValueError, match="sample size must be at least 1"):
-            sizes = montecarlo._sample_sizes([1000] * 20 + [0])
-            montecarlo._replicates(wide, sizes, RngSpec(0), np.transpose)
+            montecarlo._replicates(wide, [1000] * 20 + [0], RngSpec(0), np.transpose)
         assert calls == []
 
 
@@ -1061,8 +1058,7 @@ class TestCountBlocks:
         for z, replicates, rows in [(demo_z, 5000, 4096), (wide_with_zeros, 20, 4)]:
             blocks.clear()
             sizes = list(range(1000, 1000 + replicates))
-            checked = montecarlo._sample_sizes(sizes)
-            freqs = montecarlo._replicates(z, checked, RngSpec(0), np.transpose).T
+            freqs = montecarlo._replicates(z, sizes, RngSpec(0), np.transpose).T
             assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
             assert 1 <= len(blocks[-1]) <= rows
             assert all(b.dtype == np.int64 for b in blocks)

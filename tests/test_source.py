@@ -33,3 +33,14 @@ def test_each_exported_name_is_defined_in_its_module(module):
         obj = getattr(pairinfo, name)
         assert obj is getattr(mod, name)
         assert inspect.getmodule(obj) is mod, name
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["count must be an integer", "count must be nonnegative", "count must be at most",
+     "duplicate cell"],
+)
+def test_each_counts_rule_is_written_once(text):
+    """The counts reader splits plain lines in numpy and walks every other
+    line record by record; only the walk states a rule of the format."""
+    assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
