@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairinfo import EmpiricalPmf, PairShape, _fields, cli
+from pairinfo import EmpiricalPmf, PairShape, _reader, cli
+from pairinfo._reader import _BLOCK_BYTES, _rows
 from pairinfo.cli import (
-    _BLOCK_BYTES,
-    _rows,
     main,
     parse_counts_csv,
     parse_pairs_csv,
@@ -357,14 +356,14 @@ class TestParsePairsCsv:
     @pytest.mark.parametrize("text", RECORD_WALK_INPUTS)
     def test_matches_record_walk_across_flushes(self, text, layout, header, monkeypatch):
         """A tally that yields its cells and starts afresh past two lines."""
-        monkeypatch.setattr(cli, "_KNOWN_LINES", 2)
+        monkeypatch.setattr(_reader, "_KNOWN_LINES", 2)
         self.test_matches_record_walk(text, layout, header)
 
-    @pytest.mark.parametrize("known_lines", [cli._KNOWN_LINES, 2])
+    @pytest.mark.parametrize("known_lines", [_reader._KNOWN_LINES, 2])
     def test_late_line_keeps_first_appearance_order(self, known_lines, monkeypatch):
         """Lines first met after many chunks of repeats take the next label
         indices in the order they appear."""
-        monkeypatch.setattr(cli, "_KNOWN_LINES", known_lines)
+        monkeypatch.setattr(_reader, "_KNOWN_LINES", known_lines)
         repeats = "a,p\nb,p\n" * (3 * _BLOCK_BYTES // 8)
         text = repeats + "c,q\n" + repeats + "d,r\nb,s\ne,q\n" + repeats
         outcome = _parsed(text)
@@ -387,8 +386,8 @@ class TestParsePairsCsv:
             calls.append(args[2])
             return real_walk(*args)
 
-        real_walk = cli._walked_cells
-        monkeypatch.setattr(cli, "_walked_cells", walk)
+        real_walk = _reader._walked_cells
+        monkeypatch.setattr(_reader, "_walked_cells", walk)
         new_lines = (_BLOCK_BYTES // 4 + 2) // 5 + extra
         second = "\n\n\r\n" + "".join(f"n{i:04d},q\n" for i in range(new_lines))
         second += "a,p\n" * ((_BLOCK_BYTES - len(second)) // 4)
@@ -445,7 +444,7 @@ class TestTrickleFuzz:
     def test_trickling_lines_match_the_record_walk(self, seed, monkeypatch):
         text = _trickle_text(seed, 24_000)
         for block_bytes in (7, 64, 1000, 65536):
-            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(_reader, "_BLOCK_BYTES", block_bytes)
             for header in (False, True):
                 assert _parsed(text, header) == _walked(text, header), (block_bytes, header)
 
@@ -455,13 +454,13 @@ class TestCountsFuzz:
     walk, on plain lines among lines of every kind the walk must take.
     With ``_FIELD_LINES`` at 0, the first chunk is split in numpy too."""
 
-    @pytest.mark.parametrize("field_lines", [0, cli._FIELD_LINES])
+    @pytest.mark.parametrize("field_lines", [0, _reader._FIELD_LINES])
     @pytest.mark.parametrize("seed", range(len(COUNTS_WALK_LINES)))
     def test_counts_match_the_record_walk(self, seed, field_lines, monkeypatch):
         data = _counts_fuzz_text(seed, 400)
-        monkeypatch.setattr(cli, "_FIELD_LINES", field_lines)
+        monkeypatch.setattr(_reader, "_FIELD_LINES", field_lines)
         for block_bytes in (7, 64, 1000, 65536):
-            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(_reader, "_BLOCK_BYTES", block_bytes)
             for header in (False, True):
                 outcome = _counts_parsed(data, header)
                 assert outcome == _counts_walked(data, header), (block_bytes, header)
@@ -483,7 +482,7 @@ class TestKnownLineTable:
         texts long enough that the table is searched again, some of whose
         lines share their first word, and one whose late chunks meet two to
         four new lines each."""
-        monkeypatch.setattr(cli, "_slot_bits", lambda lines: bits)
+        monkeypatch.setattr(_reader, "_slot_bits", lambda lines: bits)
         for header in (False, True):
             assert _parsed(text, header) == _walked(text, header)
 
@@ -503,7 +502,7 @@ class TestKnownLineTable:
     def test_small_chunks(self, text, layout, block_bytes, monkeypatch):
         """Chunks shorter than many lines, whose next read grows to hold
         the line they cut."""
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_reader, "_BLOCK_BYTES", block_bytes)
         text = LAYOUTS[layout].format(text)
         for header in (False, True):
             assert _parsed(text, header) == _walked(text, header)
@@ -526,16 +525,16 @@ class TestKnownLineTable:
 
         def looked_up(known, data, starts, lengths):
             for at, size in zip(starts.tolist(), lengths.tolist()):
-                if data[at : at + size] in known.ids and size <= cli._WINDOW:
+                if data[at : at + size] in known.ids and size <= _reader._WINDOW:
                     known_again.append(data[at : at + size])
             return real_listed(known, data, starts, lengths)
 
         def walk(*args):
             raise AssertionError("the record walk was not expected")
 
-        real_listed = cli._listed_ids
-        monkeypatch.setattr(cli, "_listed_ids", looked_up)
-        monkeypatch.setattr(cli, "_walked_cells", walk)
+        real_listed = _reader._listed_ids
+        monkeypatch.setattr(_reader, "_listed_ids", looked_up)
+        monkeypatch.setattr(_reader, "_walked_cells", walk)
         outcome = _parsed(text)
         monkeypatch.undo()
         assert outcome == _walked(text, False)
@@ -574,7 +573,7 @@ class TestPairsEncoding:
     def test_first_bad_line_decides_the_error(self, bad, error, message, block_bytes, monkeypatch):
         """A ragged row and invalid UTF-8, in one chunk or in two: the
         one met first in the file is reported, whatever the chunk size."""
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_reader, "_BLOCK_BYTES", block_bytes)
         lines = [b"a,p\n"] * 3000
         for at, line in bad.items():
             lines[at] = line
@@ -618,7 +617,7 @@ class TestWalkLog:
         ids=["quoted", "second_chunk", "repeated", "plain"],
     )
     def test_counts_walk_is_logged(self, caplog, monkeypatch, text, message):
-        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
+        monkeypatch.setattr(_reader, "_FIELD_LINES", 0)
         with caplog.at_level(logging.INFO, logger="pairinfo"):
             try:
                 _counts(text)
@@ -627,7 +626,7 @@ class TestWalkLog:
         assert caplog.messages == ([message] if message else [])
 
     def test_counts_chunk_that_does_not_decode_is_logged(self, caplog, monkeypatch):
-        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
+        monkeypatch.setattr(_reader, "_FIELD_LINES", 0)
         with caplog.at_level(logging.INFO, logger="pairinfo"):
             with pytest.raises(UnicodeDecodeError):
                 parse_counts_csv(io.BytesIO(b"x1,y1,2\nx\xff,y1,3\n"))
@@ -640,11 +639,11 @@ class TestWalkLog:
         def split(*args):
             raise AssertionError("the short file was not expected to be split")
 
-        monkeypatch.setattr(_fields, "plain_cells", split)
-        text = "".join(f"x{i},y,1\n" for i in range(cli._FIELD_LINES - 1))
+        monkeypatch.setattr(_reader, "plain_cells", split)
+        text = "".join(f"x{i},y,1\n" for i in range(_reader._FIELD_LINES - 1))
         with caplog.at_level(logging.INFO, logger="pairinfo"):
             alphabets, _ = _counts(text)
-        assert len(alphabets.x_labels) == cli._FIELD_LINES - 1
+        assert len(alphabets.x_labels) == _reader._FIELD_LINES - 1
         assert caplog.messages == []
 
     @pytest.mark.parametrize(
@@ -747,7 +746,7 @@ def test_plain_counts_are_read_in_numpy(header, ended, monkeypatch):
     def walk(*args):
         raise AssertionError("the record walk was not expected")
 
-    monkeypatch.setattr(cli, "_rows", walk)
+    monkeypatch.setattr(_reader, "_rows", walk)
     assert _counts_parsed(data, header) == expected
 
 
@@ -773,7 +772,7 @@ class TestCountsReading:
     def test_first_bad_line_decides_the_error(self, bad, error, message, block_bytes, monkeypatch):
         """The counts twin of the pairs test: whatever the chunk size, the
         bad line met first in the file is reported."""
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(_reader, "_BLOCK_BYTES", block_bytes)
         lines = [f"x{i},y,1\n".encode() for i in range(3000)]
         for at, line in bad.items():
             lines[at] = line
@@ -793,7 +792,7 @@ class TestCountsReading:
     def test_long_labels_that_share_the_window(self, monkeypatch):
         """Labels past the 63-byte window whose first 64 bytes agree are
         still told apart where one follows another."""
-        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
+        monkeypatch.setattr(_reader, "_FIELD_LINES", 0)
         data = "".join(f"{'a' * 70}{i},{'p' * 70}{i % 2},1\n" for i in range(300)).encode()
         outcome = _counts_parsed(data, False)
         assert (len(outcome[0]), len(outcome[1])) == (300, 2)
@@ -803,7 +802,7 @@ class TestCountsReading:
     def test_label_beyond_csv_limit(self, header, monkeypatch):
         """A line of two commas and digits, but longer than csv's field
         limit, is walked, and its record fails as csv fails it."""
-        monkeypatch.setattr(cli, "_FIELD_LINES", 0)
+        monkeypatch.setattr(_reader, "_FIELD_LINES", 0)
         data = ("a,p,1\nb,p,1\nc,p,1\n" + "x" * (csv.field_size_limit() + 1) + ",p,1\n").encode()
         outcome = _counts_parsed(data, header)
         assert outcome == ("ValueError", "line 4: field larger than field limit (131072)")
@@ -1637,7 +1636,7 @@ class TestCliErrors:
         assert "degenerate CLT" in capsys.readouterr().err
 
     # None allocates: the first two fail past sys.maxsize, and the third
-    # when Python refuses at once a list of 2**62 sizes.
+    # when numpy's broadcast_to refuses at once a view of 2**62 sizes.
     @pytest.mark.parametrize(
         "args, message",
         [

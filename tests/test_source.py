@@ -44,3 +44,32 @@ def test_each_counts_rule_is_written_once(text):
     """The counts reader splits plain lines in numpy and walks every other
     line record by record; only the walk states a rule of the format."""
     assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
+
+
+def _imported(node) -> list[str]:
+    """The modules an import statement in a module of pairinfo may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = ".".join(filter(None, ["pairinfo" if node.level else "", node.module]))
+    return [base, *(f"{base}.{alias.name}" for alias in node.names)]
+
+
+def test_no_module_but_main_imports_the_cli():
+    """The CLI sits on top: no module under it imports from it, not even
+    inside a function, so the reader and the CLI do not import each other."""
+    for path in FILES:
+        if path.name == "__main__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "pairinfo.cli" not in _imported(node), (path.name, node.lineno)
+
+
+def test_cli_holds_no_private_reader_name():
+    """A test that patches a reader knob on ``pairinfo.cli`` raises
+    ``AttributeError`` rather than patching a copy that nothing reads."""
+    reader = importlib.import_module("pairinfo._reader")
+    cli = importlib.import_module("pairinfo.cli")
+    private = {name for name in vars(reader) if name.startswith("_") and not name.startswith("__")}
+    assert "_FIELD_LINES" in private and "_BLOCK_BYTES" in private
+    assert private.isdisjoint(vars(cli))
