@@ -550,8 +550,8 @@ class Labels:
         return self.index[ids]
 
 
-# The fewest lines of a first counts chunk split in numpy: at 512 lines the
-# split and the walk each take about 1.3 ms on a 2-vCPU Xeon.
+# The fewest lines of a first counts chunk split in numpy (2-vCPU Xeon): at 506
+# lines the split and the walk take 0.62 ms each, at 256 0.50 and 0.32 ms.
 _FIELD_LINES = 512
 
 

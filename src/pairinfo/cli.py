@@ -144,10 +144,7 @@ def _json(obj, sep: str = ", ", colon: str = ": ", step: str = "", outer: str = 
         items = _json_floats(obj)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         values = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if set(map(type, values)) == {str}:  # labels, joined in one pass
-            items = list(map(encode_basestring_ascii, values))
-        else:
-            items = [_json(val, sep, colon, step, inner) for val in values]
+        items = [_json(val, sep, colon, step, inner) for val in values]
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     if not items:

@@ -123,20 +123,16 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return math.exp(_log_prefactor(a, x)) * h
 
 
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """The regularized tails ``(P(a, x), Q(a, x))``, a > 0 and x >= 0: below
+    x = a + 1 the series sums P and Q = 1 - P, from there the fraction sums Q."""
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
-def _gamma_q(a: float, x: float) -> float:
-    """Upper tail Q(a, x) = 1 - P(a, x), summed directly where it is the smaller tail."""
-    if x < a + 1.0:
-        return 1.0 - _gamma_p(a, x)
-    return _gamma_q_contfrac(a, x)
+        p = _gamma_p_series(a, x)
+        return p, 1.0 - p
+    q = _gamma_q_contfrac(a, x)
+    return 1.0 - q, q
 
 
 def _validate_df(df: int) -> int:
@@ -153,7 +149,7 @@ def chi_square_cdf(x: float, df: int) -> float:
         raise ValueError(f"chi-square c.d.f. argument must be >= 0, got {x}")
     if x == math.inf:
         return 1.0
-    return min(1.0, max(0.0, _gamma_p(df / 2.0, x / 2.0)))
+    return min(1.0, max(0.0, _gamma_tails(df / 2.0, x / 2.0)[0]))
 
 
 def chi_square_quantile(p: float, df: int) -> float:
@@ -169,12 +165,12 @@ def chi_square_quantile(p: float, df: int) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
     a = df / 2.0
-    upper = p > 0.5
+    upper = bool(p > 0.5)
     log_target = math.log(1.0 - p if upper else p)
 
     def excess(x: float) -> tuple[float, float]:
         """Log of the tail over its target, signed to rise with x, and the tail."""
-        tail = _gamma_q(a, x / 2.0) if upper else _gamma_p(a, x / 2.0)
+        tail = _gamma_tails(a, x / 2.0)[upper]
         f = math.log(tail) - log_target if tail > 0.0 else -math.inf
         return (-f if upper else f), tail
 
@@ -255,7 +251,7 @@ def independence_test(emp: EmpiricalPmf, alpha: float = 0.05) -> TestReport:
     """
     df, threshold = lrt_threshold(emp.shape, alpha)
     gamma_sq = lrt_statistic(emp)
-    p_value = _gamma_q(df / 2.0, max(gamma_sq, 0.0) / 2.0)
+    p_value = _gamma_tails(df / 2.0, max(gamma_sq, 0.0) / 2.0)[1]
     return TestReport(
         gamma_sq=gamma_sq,
         df=df,

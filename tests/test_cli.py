@@ -1347,6 +1347,7 @@ class TestReportWriter:
             [True, False, np.bool_(True), None, np.int64(-7), np.uint8(200), 2**70],
             {"x": ["é", "€", "𝄞", "a\"b\\c", "tab\tnew\nline", "\x00"], "y": []},
             {"labels": [f"r{i:03d}" for i in range(200)], "mixed": ["a", 1, 1.5]},
+            {"tuple": ("a", "", " b "), "array": np.array(["r1", "é"]), "empty": [""]},
             {"nested": [[1.0, 2.5], (np.float32(0.1), np.float64(1e9))], "n": 3},
             np.array([[1.5, np.inf], [-0.0, 1e12]]),
             {"s": "ü", "f": 100000000.0, "g": 1e16, "h": 1234567890.0},

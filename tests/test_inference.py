@@ -110,6 +110,28 @@ class TestChiSquareCdf:
         with pytest.raises(ArithmeticError, match="fraction did not converge"):
             chi_square_cdf(104.0, 100)
 
+    @pytest.mark.parametrize("df", [1, 4, 100, 9801])
+    def test_both_tails_on_either_side_of_the_switch(self, df, monkeypatch):
+        # The series sums P below x = a + 1 and the fraction Q from there on;
+        # each side calls its own expansion only, and the tails add to 1.
+        a = df / 2.0
+        below, at = math.nextafter(a + 1.0, 0.0), a + 1.0
+        expected = {x: inference._gamma_tails(a, x) for x in (below, at)}
+        for x, (lower, upper) in expected.items():
+            assert lower == pytest.approx(scipy.stats.chi2.cdf(2 * x, df), rel=1e-9, abs=0)
+            assert upper == pytest.approx(scipy.stats.chi2.sf(2 * x, df), rel=1e-9, abs=0)
+            assert lower + upper == 1.0
+            assert chi_square_cdf(2 * x, df) == lower
+
+        def refused(*args):
+            raise AssertionError("the other expansion was called")
+
+        monkeypatch.setattr(inference, "_gamma_q_contfrac", refused)
+        assert inference._gamma_tails(a, below) == expected[below]
+        monkeypatch.undo()
+        monkeypatch.setattr(inference, "_gamma_p_series", refused)
+        assert inference._gamma_tails(a, at) == expected[at]
+
     def test_monotone(self):
         xs = np.linspace(0, 40, 200)
         vals = [chi_square_cdf(float(x), 3) for x in xs]
@@ -251,7 +273,7 @@ class TestIndependenceTest:
             expected = scipy.stats.chi2.sf(x, df)
             if x <= 0 or expected < 1e-300:
                 continue
-            got = inference._gamma_q(df / 2.0, x / 2.0)
+            got = inference._gamma_tails(df / 2.0, x / 2.0)[1]
             assert got == pytest.approx(expected, rel=1e-9, abs=0), (df, x)
 
     def test_small_p_value_keeps_its_digits(self):

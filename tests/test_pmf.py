@@ -48,6 +48,9 @@ class TestJointPmf:
         with pytest.raises(ValueError, match="2-D"):
             JointPmf([0.5, 0.5])
 
+    def test_repr_names_the_shape(self):
+        assert repr(JointPmf(np.full((2, 3), 1 / 6))) == "JointPmf(shape=2x3)"
+
     def test_probs_are_read_only(self):
         p = JointPmf(DEMO_TABLE)
         with pytest.raises(ValueError):
@@ -74,6 +77,9 @@ class TestZPmf:
         back = z.probs.reshape(z.shape.rows, z.shape.cols)
         np.testing.assert_array_equal(back, joint.probs)
         assert z.shape == joint.shape
+
+    def test_repr_names_the_shape(self):
+        assert repr(ZPmf(np.full(6, 1 / 6), PairShape(3, 2))) == "ZPmf(shape=3x2)"
 
 
 class TestEmpiricalPmf:
@@ -148,6 +154,15 @@ class TestEmpiricalPmf:
         c = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(1, 4))
         assert a == b
         assert a != c
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        # Another type is left to its own __eq__, so a table equals no number.
+        assert a.__eq__(3) is NotImplemented
+        assert a != 3 and not a == 3
+        assert a != a.as_zpmf()
+
+    def test_repr_names_shape_and_size(self):
+        emp = EmpiricalPmf(np.array([2, 4, 1, 3, 0, 0]), PairShape(2, 3))
+        assert repr(emp) == "EmpiricalPmf(shape=2x3, n=10)"
 
     def test_as_zpmf(self):
         emp = EmpiricalPmf(np.array([2, 4, 1, 3]), PairShape(2, 2))
@@ -238,6 +253,10 @@ class TestLabeledAlphabets:
     def test_shape(self):
         alpha = LabeledAlphabets(("a", "b"), ("p", "q", "r"))
         assert alpha.shape == PairShape(2, 3)
+
+    def test_repr_lists_the_labels(self):
+        alpha = LabeledAlphabets(("a", "b"), ("p", "q", "r"))
+        assert repr(alpha) == "LabeledAlphabets(x=['a', 'b'], y=['p', 'q', 'r'])"
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError, match="distinct"):
