@@ -117,9 +117,9 @@ def confidence_interval(
     """Two-sided normal interval ``estimate -+ z_{1-alpha/2} sqrt(variance/n)``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     if 1.0 - alpha / 2.0 == 1.0:
         raise ValueError(

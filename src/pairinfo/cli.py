@@ -276,7 +276,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Every flag's spec; each command's help and its flags after the four of
 # input and output, in the order its help lists them; and what a command
-# changes of a flag's spec.
+# changes of a flag's spec.  An omitted flag stays out of the namespace and
+# takes its RunConfig default, save trace's --output-format, which differs.
 _FLAGS = {
     "--input": dict(required=True, help="input CSV path"),
     "--format": dict(
@@ -288,13 +289,13 @@ _FLAGS = {
         action="store_true",
         help="skip the first input row (header detection is never automatic)",
     ),
-    "--output": dict(default="-", help="report path, or - for standard output"),
-    "--alpha": dict(type=float, default=0.05, help="test level (default 0.05)"),
+    "--output": dict(help="report path, or - for standard output"),
+    "--alpha": dict(type=float, help="test level (default 0.05)"),
     "--measure": dict(required=True, choices=("entropy", "mi")),
     "--sizes": dict(required=True, help="sample-size grid start:stop:step (stop inclusive)"),
     "--n": dict(type=int, required=True, help="sample size per replicate"),
     "--replicates": dict(type=int, required=True),
-    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--seed": dict(type=int, help="master seed (default 0)"),
     "--output-format": dict(choices=("json", "csv")),
 }
 _COMMANDS = {
@@ -311,7 +312,7 @@ _CHANGES = {
     ("estimate", "--alpha"): dict(help="CI level (default 0.05)"),
     ("trace", "--output-format"): dict(default="csv", help="csv rows (default) or a json report"),
     ("normality", "--output-format"): dict(
-        default="json", help="json report (default) or csv rows of T values and QQ pairs"
+        help="json report (default) or csv rows of T values and QQ pairs"
     ),
 }
 
@@ -336,7 +337,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_text, flags = _COMMANDS[name]
-        sub = commands.add_parser(name, help=help_text)
+        sub = commands.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for flag in ["--input", "--format", "--header", "--output", *flags.split()]:
             sub.add_argument(flag, **{**_FLAGS[flag], **_CHANGES.get((name, flag), {})})
     return parser

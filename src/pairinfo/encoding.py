@@ -14,6 +14,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy ints pass, bools and the rest raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class PairShape:
@@ -23,6 +32,8 @@ class PairShape:
     cols: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _integer(self.rows, "rows"))
+        object.__setattr__(self, "cols", _integer(self.cols, "cols"))
         if self.rows < 1:
             raise ValueError(f"rows must be >= 1, got {self.rows}")
         if self.cols < 1:
@@ -46,6 +57,7 @@ class PairShape:
 
 def encode_pair(i: int, j: int, shape: PairShape) -> int:
     """Map the 1-based cell (i, j) to its flattened index cols*(i-1) + j."""
+    i, j = _integer(i, "row index i"), _integer(j, "column index j")
     if not 1 <= i <= shape.rows:
         raise ValueError(f"row index i = {i} outside [1, {shape.rows}]")
     if not 1 <= j <= shape.cols:
@@ -55,6 +67,7 @@ def encode_pair(i: int, j: int, shape: PairShape) -> int:
 
 def decode_index(k: int, shape: PairShape) -> tuple[int, int]:
     """Invert :func:`encode_pair`: flattened index k back to the cell (i, j)."""
+    k = _integer(k, "flattened index k")
     if not 1 <= k <= shape.size:
         raise ValueError(f"flattened index k = {k} outside [1, {shape.size}]")
     i, j = divmod(k - 1, shape.cols)
@@ -68,6 +81,7 @@ def diagonal_index(i: int, shape: PairShape) -> int:
         raise ValueError(
             f"diagonal index requires a square shape, got {shape.rows} x {shape.cols}"
         )
+    i = _integer(i, "diagonal index i")
     if not 1 <= i <= shape.cols:
         raise ValueError(f"diagonal index i = {i} outside [1, {shape.cols}]")
     return encode_pair(i, i, shape)

@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .asymptotics import normal_quantile
-from .encoding import PairShape
+from .encoding import PairShape, _integer
 from .measures import mutual_information
-from .pmf import EmpiricalPmf, _integer
+from .pmf import EmpiricalPmf
 
 _MAX_ITER = 500
 _EPS = 1e-16
@@ -71,9 +71,12 @@ def _log_prefactor(a: float, x: float) -> float:
         return -x + a * math.log(x) - math.lgamma(a)
     # At large a the three terms cancel down from ~a log a, losing digits;
     # Stirling's series for lgamma lets the cancellation happen exactly.
+    # Below x = a / 2 nothing cancels, and there t rounds to -1, where log1p
+    # fails, once x / a < 1e-16; log x - log a holds down to x = 5e-324.
     t = (x - a) / a
+    log_ratio = math.log1p(t) if x >= 0.5 * a else math.log(x) - math.log(a)
     stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * a * a)) / (a * a)) / a
-    return a * (math.log1p(t) - t) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+    return a * (log_ratio - t) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
 
 
 def _no_convergence(kind: str, a: float, x: float) -> ArithmeticError:

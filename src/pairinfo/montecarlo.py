@@ -53,6 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import entropy_variance, mi_variance, normal_quantile
+from .encoding import _integer
 from .inference import lrt_threshold
 from .measures import (
     entropy_rows,
@@ -60,7 +61,7 @@ from .measures import (
     mutual_information,
     mutual_information_rows,
 )
-from .pmf import _INT64_MAX, PmfLike, ZPmf, _as_table, _integer, z_vector
+from .pmf import _INT64_MAX, PmfLike, ZPmf, _as_table, z_vector
 
 # Not called by the studies, but perfbench/tracing.py rebinds them here.
 from .inference import independence_test  # noqa: F401

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encoding import PairShape
+from .encoding import PairShape, _integer
 
 NORMALIZATION_TOL = 1e-9
 
@@ -30,13 +30,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy ints pass, bools and the rest raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
@@ -223,8 +216,6 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
     plug-in estimator every downstream measure is evaluated at.
     """
     arr = np.asarray(sample)
-    if arr.size == 0:
-        raise ValueError("empty sample: n = 0")
     if arr.ndim != 1:
         raise ValueError(f"sample must be 1-D, got {arr.ndim}-D")
     if arr.dtype == np.bool_:

@@ -197,6 +197,16 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="sample size"):
             confidence_interval(0.0, 1.0, 0, 0.05)
 
+    @pytest.mark.parametrize(
+        "variance, n, message",
+        [(math.nan, 10, "variance must be nonnegative, got nan"),
+         (1.0, math.nan, "sample size must be at least 1, got nan")],
+        ids=["variance", "n"],
+    )
+    def test_rejects_nan(self, variance, n, message):
+        with pytest.raises(ValueError, match=message):
+            confidence_interval(0.5, variance, n, 0.05)
+
     def test_alpha_too_small_to_use(self):
         """Below 2**-53, 1 - alpha/2 rounds to 1; just above it the interval
         is finite."""

@@ -1879,3 +1879,11 @@ class TestParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
         _exit(main, argv, capsys)
         assert added == built
+
+    def test_no_flag_spec_but_traces_output_format_sets_a_default(self):
+        """An omitted flag stays out of the namespace and takes its
+        ``RunConfig`` default, so each default is written once."""
+        specs = {**{(None, flag): spec for flag, spec in cli._FLAGS.items()}, **cli._CHANGES}
+        assert [key for key, spec in specs.items() if "default" in spec] == [
+            ("trace", "--output-format")
+        ]

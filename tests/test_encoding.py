@@ -1,8 +1,13 @@
 """Tests for the 1-based row-major pair <-> index encoding."""
 
+import math
+
+import numpy as np
 import pytest
 
-from pairinfo import PairShape, decode_index, diagonal_index, encode_pair
+from pairinfo import PairShape, ZPmf, decode_index, diagonal_index, encode_pair
+
+NOT_INTEGERS = [1.5, 2.0, math.nan, True, "2", None]
 
 
 class TestPairShape:
@@ -20,6 +25,23 @@ class TestPairShape:
     def test_rejects_overflowing_size(self):
         with pytest.raises(ValueError, match="addressable"):
             PairShape(2**40, 2**40)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_rejects_non_integer_dimensions(self, value):
+        with pytest.raises(ValueError, match="rows must be an integer"):
+            PairShape(value, 2)
+        with pytest.raises(ValueError, match="cols must be an integer"):
+            PairShape(2, value)
+
+    def test_a_fractional_shape_never_reaches_a_pmf(self):
+        with pytest.raises(ValueError, match="rows must be an integer"):
+            ZPmf([1 / 3] * 3, PairShape(1.5, 2))
+
+    def test_stores_numpy_integers_as_ints(self):
+        shape = PairShape(np.int64(2), np.uint8(3))
+        assert shape == PairShape(2, 3)
+        assert type(shape.rows) is int and type(shape.cols) is int
+        assert type(shape.size) is int
 
 
 class TestEncodePair:
@@ -40,6 +62,19 @@ class TestEncodePair:
             encode_pair(1, 4, shape)
 
 
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_rejects_non_integer_coordinates(self, value):
+        shape = PairShape(2, 3)
+        with pytest.raises(ValueError, match="row index i must be an integer"):
+            encode_pair(value, 1, shape)
+        with pytest.raises(ValueError, match="column index j must be an integer"):
+            encode_pair(1, value, shape)
+
+    def test_numpy_coordinates_give_an_int(self):
+        k = encode_pair(np.int64(2), np.int32(3), PairShape(2, 3))
+        assert k == 6 and type(k) is int
+
+
 class TestDecodeIndex:
     def test_inverse_formulas(self):
         """i = floor((k + cols - 1)/cols), j = k - cols*(i-1)."""
@@ -55,6 +90,15 @@ class TestDecodeIndex:
             decode_index(0, shape)
         with pytest.raises(ValueError, match="k = 5"):
             decode_index(5, shape)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_rejects_non_integer_index(self, value):
+        with pytest.raises(ValueError, match="flattened index k must be an integer"):
+            decode_index(value, PairShape(2, 3))
+
+    def test_numpy_index_gives_ints(self):
+        cell = decode_index(np.int64(5), PairShape(2, 3))
+        assert cell == (2, 2) and all(type(v) is int for v in cell)
 
     def test_bijection_small_shapes(self):
         """encode and decode invert each other on every cell."""
@@ -85,3 +129,8 @@ class TestDiagonalIndex:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             diagonal_index(4, PairShape(3, 3))
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_rejects_non_integer_index(self, value):
+        with pytest.raises(ValueError, match="diagonal index i must be an integer"):
+            diagonal_index(value, PairShape(3, 3))

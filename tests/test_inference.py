@@ -103,6 +103,15 @@ class TestChiSquareCdf:
                 atol=1e-10,
             )
 
+    @pytest.mark.parametrize("df", [20_002, 10**5, 10**7, 10**17])
+    def test_far_below_a_large_shape(self, df):
+        """Past the Stirling switch, x / a below 1e-16 used to round log1p's
+        argument to -1; there P underflows to 0 and Q is 1."""
+        for x in (1e-323, 1e-300, 1e-10, 1.0, df * 1e-17):
+            assert chi_square_cdf(x, df) == scipy.stats.chi2.cdf(x, df) == 0.0
+            assert scipy.stats.chi2.sf(x, df) == 1.0
+            assert inference._gamma_tails(df / 2, x / 2) == (0.0, 1.0)
+
     def test_raises_when_expansion_does_not_converge(self, monkeypatch):
         monkeypatch.setattr(inference, "_max_iter", lambda a: 5)
         with pytest.raises(ArithmeticError, match="series did not converge"):

@@ -46,6 +46,13 @@ def test_each_counts_rule_is_written_once(text):
     assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
 
 
+def test_the_empty_sample_rule_is_written_once():
+    """``EmpiricalPmf`` states it; an empty sample given to ``estimate_pmf``
+    reaches it as an all-zero count vector."""
+    text = "empty sample: n = 0"
+    assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
+
+
 def _imported(node) -> list[str]:
     """The modules an import statement in a module of pairinfo may load."""
     if isinstance(node, ast.Import):
