@@ -67,16 +67,9 @@ _MULTIPLIERS = np.array([
 _TAIL_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _walked_cells(
-    records: Iterable[str],
-    header: bool,
-    start: int,
-    x_order: dict[str, int],
-    y_order: dict[str, int],
-):
-    """Yield ``(x indices, y indices, 1)`` for each block of rows walked
-    with :func:`_rows`, the first numbered ``start``."""
-    walk = _rows(records, header, 2, start)
+def _walked_cells(walk, x_order: dict[str, int], y_order: dict[str, int]):
+    """Yield ``(x indices, y indices, 1)`` for each block of rows of
+    ``walk``, a record walk of pairs (:func:`_walk_from`)."""
     while True:
         xs: list[int] = []
         ys: list[int] = []
@@ -101,6 +94,16 @@ def _text_lines(runs: Iterable[bytearray]):
         yield from io.StringIO(text, newline="")
         if error:
             raise error
+
+
+def _walk_from(buffer, end: int, chunks, header: bool, width: int, read: int, why):
+    """The record walk (:func:`_rows`) of ``buffer[:end]`` and of the runs
+    left in ``chunks``, the first numbered ``read + 1``.  Unless ``why`` is
+    ``None``, one line on the ``pairinfo`` logger says where and why."""
+    if why:
+        log.info("walking records from line %d: %s", read + 1, why)
+    runs = chain([buffer[:end]], (run[:stop] for run, stop in chunks))
+    return _rows(_text_lines(runs), header, width, read + 1)
 
 
 def _chunks(stream: BinaryIO):
@@ -386,13 +389,16 @@ def _cell_batches(
     raises the ``line N:`` errors.  New labels are appended to ``x_order``
     and ``y_order`` in first-appearance order.
     """
-    known = _KnownLines()
-    # The cell of each id, after stand-ins for those below _FIRST_ID.
-    xs, ys = [0] * _FIRST_ID, [0] * _FIRST_ID
-    tally = np.zeros(1, np.int64)
     read = 0  # lines read so far, each one whole record
     chunks = _chunks(stream)
     for buffer, end in chunks:
+        if not read or len(known.ids) > _KNOWN_LINES:
+            if read:
+                yield _tallied_cells(tally, xs, ys)
+            known = _KnownLines()
+            # The cell of each id, after stand-ins for those below _FIRST_ID.
+            xs, ys = [0] * _FIRST_ID, [0] * _FIRST_ID
+            tally = np.zeros(1, np.int64)
         head = 1 if header and not read else 0
         counted, chunk_lines, lines = _tallied_chunk(known, buffer, end, head)
         rows = None
@@ -404,11 +410,9 @@ def _cell_batches(
             reason = "a line is not one whole record of two fields"
             rows = _new_rows(lines, head) if lines else []
         if rows is None:
-            log.info("walking records from line %d: %s", read + 1, reason)
+            walk = _walk_from(buffer, end, chunks, header, 2, read, reason)
             yield _tallied_cells(tally, xs, ys)
-            # The chunk's lines, then those of the chunks after it.
-            runs = chain([buffer[:end]], (run[:stop] for run, stop in chunks))
-            yield from _walked_cells(_text_lines(runs), header, read + 1, x_order, y_order)
+            yield from _walked_cells(walk, x_order, y_order)
             return
         for x, y in rows:
             xs.append(x_order.setdefault(x.strip(), len(x_order)))
@@ -417,12 +421,8 @@ def _cell_batches(
         tally = counted
         read += chunk_lines
         del lines, rows  # before the next chunk is read
-        if len(known.ids) > _KNOWN_LINES:
-            yield _tallied_cells(tally, xs, ys)
-            known = _KnownLines()
-            xs, ys = [0] * _FIRST_ID, [0] * _FIRST_ID
-            tally = np.zeros(1, np.int64)
-    yield _tallied_cells(tally, xs, ys)
+    if read:
+        yield _tallied_cells(tally, xs, ys)
 
 
 def parse_pairs_csv(
@@ -575,7 +575,6 @@ def parse_counts_csv(
     """
     x_order: dict[str, int] = {}
     y_order: dict[str, int] = {}
-    cells: dict[tuple[int, int], int] = {}
     labels = None
     # Each cell's count, and whether a line named it.
     table, seen = np.zeros((0, 0), np.int64), np.zeros((0, 0), bool)
@@ -600,13 +599,7 @@ def parse_counts_csv(
                 read += lines
                 continue
             reason = "a cell is repeated"
-        if reason:
-            log.info("walking records from line %d: %s", read + 1, reason)
-        rows, cols = np.nonzero(seen)
-        cells = dict(zip(zip(rows.tolist(), cols.tolist()), table[rows, cols].tolist()))
-        # The chunk's lines, then those of the chunks after it.
-        runs = chain([buffer[:end]], (run[:stop] for run, stop in chunks))
-        walked = _rows(_text_lines(runs), header, 3, read + 1)
+        walked = _walk_from(buffer, end, chunks, header, 3, read, reason)
         break
     for lineno, (x, y, raw) in walked or ():
         x, y, raw = x.strip(), y.strip(), raw.strip()
@@ -626,19 +619,15 @@ def parse_counts_csv(
                 f"line {lineno}: count must be at most {_INT64_MAX}, got {count}"
             )
         key = (x_order.setdefault(x, len(x_order)), y_order.setdefault(y, len(y_order)))
-        if key in cells:
+        if key[0] >= seen.shape[0] or key[1] >= seen.shape[1]:
+            table, seen = (_room(a, len(x_order), len(y_order)) for a in (table, seen))
+        if seen[key]:
             raise ValueError(f"line {lineno}: duplicate cell ({x}, {y})")
-        cells[key] = count
+        table[key], seen[key] = count, True
     if not x_order:
         raise ValueError("empty input: no data rows")
-    table = _room(table, len(x_order), len(y_order))
-    if cells:
-        rows, cols = np.array(list(cells), np.intp).T
-        table[rows, cols] = list(cells.values())
     alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
     counts = table[: len(x_order), : len(y_order)].ravel()
-    if not counts.any():
-        raise ValueError("all counts are zero: n = 0")
     return alphabets, EmpiricalPmf(counts, alphabets.shape)
 
 

@@ -125,7 +125,8 @@ def kl_divergence(p: PmfLike, q: PmfLike) -> float:
         raise ValueError(
             f"q vanishes where p does not (flattened outcome k = {k + 1})"
         )
-    return float((pv[mask] * np.log(pv[mask] / qv[mask])).sum())
+    # A difference of logs: the ratio overflows for a subnormal q.
+    return float((pv[mask] * (np.log(pv[mask]) - np.log(qv[mask]))).sum())
 
 
 __all__ = [

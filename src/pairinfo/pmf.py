@@ -53,10 +53,14 @@ def _validate_probs(values, *, renormalize: bool, what: str) -> np.ndarray:
         raise ValueError(f"{what} contains non-finite entries")
     if np.any(arr < 0):
         raise ValueError(f"{what} contains negative entries")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
     if renormalize:
         if total <= 0:
             raise ValueError(f"{what} sums to {total}; cannot renormalize")
+        if total == np.inf:  # finite entries whose sum overflows
+            arr = arr / arr.max()
+            total = float(arr.sum())
         arr = arr / total
     elif abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(

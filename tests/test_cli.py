@@ -252,8 +252,6 @@ def _walk_counts(data, header):
     counts = [0] * (len(x_order) * len(y_order))
     for (xi, yi), count in cells.items():
         counts[len(y_order) * xi + yi] = count
-    if not any(counts):
-        raise ValueError("all counts are zero: n = 0")
     return LabeledAlphabets(tuple(x_order), tuple(y_order)), EmpiricalPmf(
         np.array(counts, np.int64), PairShape(len(x_order), len(y_order))
     )
@@ -382,12 +380,12 @@ class TestParsePairsCsv:
         """
         calls = []
 
-        def walk(*args):
-            calls.append(args[2])
-            return real_walk(*args)
+        def walk(buffer, end, chunks, header, width, read, why):
+            calls.append(read + 1)
+            return real_walk(buffer, end, chunks, header, width, read, why)
 
-        real_walk = _reader._walked_cells
-        monkeypatch.setattr(_reader, "_walked_cells", walk)
+        real_walk = _reader._walk_from
+        monkeypatch.setattr(_reader, "_walk_from", walk)
         new_lines = (_BLOCK_BYTES // 4 + 2) // 5 + extra
         second = "\n\n\r\n" + "".join(f"n{i:04d},q\n" for i in range(new_lines))
         second += "a,p\n" * ((_BLOCK_BYTES - len(second)) // 4)
@@ -705,9 +703,19 @@ class TestParseCountsCsv:
         _, emp = _counts(f"x1,y1,1\nx1,y2,{raw}\n")
         np.testing.assert_array_equal(emp.counts, [1, count])
 
-    def test_all_zero_counts(self):
-        with pytest.raises(ValueError, match="zero"):
-            _counts("x1,y1,0\nx1,y2,0\n")
+    @pytest.mark.parametrize("lines", [4, _reader._FIELD_LINES], ids=["walked", "split"])
+    def test_all_zero_counts(self, lines, tmp_path, capsys, monkeypatch):
+        """``EmpiricalPmf`` states the rule whether the lines are walked or,
+        from ``_FIELD_LINES`` lines on, split in numpy, and the CLI exits 2
+        with its message."""
+        path = tmp_path / "zero.csv"
+        path.write_text("".join(f"x{i},y,0\n" for i in range(lines)), encoding="utf-8")
+        if lines >= _reader._FIELD_LINES:
+            monkeypatch.setattr(_reader, "_walk_from", None)  # a walk would fail
+        with path.open("rb") as stream, pytest.raises(ValueError, match="^empty sample: n = 0$"):
+            parse_counts_csv(stream)
+        assert main(["estimate", "--input", str(path), "--format", "counts"]) == 2
+        assert "empty sample: n = 0" in capsys.readouterr().err
 
     def test_field_count(self):
         with pytest.raises(ValueError, match="line 1: expected 3 fields"):

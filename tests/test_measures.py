@@ -315,6 +315,14 @@ class TestKlDivergence:
                 rtol=1e-10,
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_q(self):
+        """p / q overflows for a subnormal q, but the divergence is finite."""
+        shape = PairShape(1, 2)
+        p, q = ZPmf([0.5, 0.5], shape), ZPmf([1 - 5e-324, 5e-324], shape)
+        expected = scipy.special.rel_entr(p.probs, q.probs).sum()
+        assert kl_divergence(p, q) == pytest.approx(expected, rel=1e-12)
+
     def test_support_violation(self):
         shape = PairShape(2, 2)
         p = ZPmf([0.5, 0.5, 0.0, 0.0], shape)

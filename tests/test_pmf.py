@@ -1,5 +1,6 @@
 """Tests for the probability containers and empirical estimation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from pairinfo import (
     PairShape,
     ZPmf,
     estimate_pmf,
+    joint_entropy,
     marginal_x,
     marginal_y,
     z_view,
@@ -59,6 +61,20 @@ class TestJointPmf:
     def test_z_vector_needs_the_flattened_view(self):
         with pytest.raises(TypeError, match="expected ZPmf or EmpiricalPmf, got JointPmf"):
             z_vector(JointPmf(DEMO_TABLE))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda v: z_view(JointPmf([v], renormalize=True)),
+     lambda v: ZPmf(v, PairShape(1, 2), renormalize=True)],
+    ids=["JointPmf", "ZPmf"],
+)
+def test_renormalize_when_the_sum_overflows(build):
+    """Finite entries whose sum overflows are scaled down before they are
+    divided by it, so they do not all become 0."""
+    z = build([1e308, 1e308])
+    np.testing.assert_array_equal(z.probs, [0.5, 0.5])
+    assert joint_entropy(z) == math.log(2)
 
 
 class TestZPmf:

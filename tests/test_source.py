@@ -51,6 +51,14 @@ def test_the_empty_sample_rule_is_written_once():
     reaches it as an all-zero count vector."""
     text = "empty sample: n = 0"
     assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
+    assert not any("all counts are zero" in path.read_text(encoding="utf-8") for path in FILES)
+
+
+def test_the_record_walk_is_entered_in_one_place():
+    """Both readers hand the rest of a file to the record walk through
+    ``_reader._walk_from``, the one place that logs where and why."""
+    text = "walking records from line"
+    assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
 
 
 def _imported(node) -> list[str]:
