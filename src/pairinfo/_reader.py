@@ -454,10 +454,15 @@ def parse_pairs_csv(
         counts = _room(counts, len(x_order), len(y_order))
         # Flat indices into the table: faster than a pair of index arrays.
         np.add.at(counts.reshape(-1), xs * counts.shape[1] + ys, repeats)
+    return _labeled(x_order, y_order, counts)
+
+
+def _labeled(x_order: dict[str, int], y_order: dict[str, int], table: np.ndarray):
+    """Both readers' end: the alphabets, and ``table`` cut to them and flattened."""
     if not x_order:
         raise ValueError("empty input: no data rows")
     alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
-    return alphabets, counts[: len(x_order), : len(y_order)].ravel()
+    return alphabets, table[: len(x_order), : len(y_order)].ravel()
 
 
 def _room(counts: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -624,10 +629,7 @@ def parse_counts_csv(
         if seen[key]:
             raise ValueError(f"line {lineno}: duplicate cell ({x}, {y})")
         table[key], seen[key] = count, True
-    if not x_order:
-        raise ValueError("empty input: no data rows")
-    alphabets = LabeledAlphabets(tuple(x_order), tuple(y_order))
-    counts = table[: len(x_order), : len(y_order)].ravel()
+    alphabets, counts = _labeled(x_order, y_order, table)
     return alphabets, EmpiricalPmf(counts, alphabets.shape)
 
 

@@ -24,6 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .encoding import _integer
 from .measures import _floored_log, _pointwise_mi, joint_entropy, mutual_information
 from .pmf import PmfLike, _as_table, z_vector
 
@@ -111,21 +112,26 @@ def normal_quantile(q: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(q)
 
 
+def _level(alpha: float, tails: int) -> float:
+    """``1 - alpha/tails``, refusing an alpha outside (0, 1) or one that rounds it to 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha / tails == 1.0:
+        rule = f"alpha must exceed 2**-{55 - tails}, below which 1 - alpha{'/2' * (tails - 1)}"
+        raise ValueError(f"{rule} rounds to 1, got {alpha}")
+    return 1.0 - alpha / tails
+
+
 def confidence_interval(
     estimate: float, variance: float, n: int, alpha: float
 ) -> tuple[float, float]:
     """Two-sided normal interval ``estimate -+ z_{1-alpha/2} sqrt(variance/n)``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    level = _level(alpha, 2)
     if not variance >= 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if not n >= 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    if 1.0 - alpha / 2.0 == 1.0:
-        raise ValueError(
-            f"alpha must exceed 2**-53, below which 1 - alpha/2 rounds to 1, got {alpha}"
-        )
-    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance / n)
+    half = normal_quantile(level) * math.sqrt(variance / _integer(n, "sample size"))
     return estimate - half, estimate + half
 
 

@@ -230,11 +230,9 @@ def run(config: RunConfig) -> int:
             }
     elif config.command == "normality":
         study = normality_study(emp, config.n, config.replicates, config.measure, rng)
-        block = asdict(study)
-        scalars = {key: val for key, val in block.items() if not isinstance(val, np.ndarray)}
-        # The scalar fields first, then the arrays, each in field order.
-        results = {"normality": {**scalars, **block}}
+        results = {"normality": asdict(study)}
         if csv_out:
+            scalars = {k: v for k, v in results["normality"].items() if np.ndim(v) == 0}
             comments = [
                 "# summary: " + _json(scalars, ",", ":"),
                 "# bin_edges: " + _json(study.bin_edges),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotics import normal_quantile
+from .asymptotics import _level, normal_quantile
 from .encoding import PairShape, _integer
 from .measures import mutual_information
 from .pmf import EmpiricalPmf
@@ -165,8 +165,7 @@ def chi_square_quantile(p: float, df: int) -> float:
     bisection bracket.
     """
     df = _validate_df(df)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p}")
+    z = normal_quantile(p)  # also refuses a p outside (0, 1)
     a = df / 2.0
     upper = bool(p > 0.5)
     log_target = math.log(1.0 - p if upper else p)
@@ -179,7 +178,6 @@ def chi_square_quantile(p: float, df: int) -> float:
 
     # Wilson-Hilferty cube approximation; fall back to the small-x power
     # law when the cube would go nonpositive (tiny p at small df).
-    z = normal_quantile(p)
     t = 1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))
     if t > 0:
         x = df * t**3
@@ -224,12 +222,7 @@ def lrt_threshold(shape: PairShape, alpha: float) -> tuple[int, float]:
     ``(rows - 1)(cols - 1)`` degrees of freedom; it depends on the table's
     shape only, so a study of many tables of one shape computes it once.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if 1.0 - alpha == 1.0:
-        raise ValueError(
-            f"alpha must exceed 2**-54, below which 1 - alpha rounds to 1, got {alpha}"
-        )
+    level = _level(alpha, 1)
     r, s = shape.rows, shape.cols
     if r < 2 or s < 2:
         raise ValueError(
@@ -237,7 +230,7 @@ def lrt_threshold(shape: PairShape, alpha: float) -> tuple[int, float]:
             f"0 degrees of freedom"
         )
     df = (r - 1) * (s - 1)
-    return df, chi_square_quantile(1.0 - alpha, df)
+    return df, chi_square_quantile(level, df)
 
 
 def independence_test(emp: EmpiricalPmf, alpha: float = 0.05) -> TestReport:

@@ -389,15 +389,16 @@ class NormalityStudy:
     CLT claim from standard-error estimation.
     """
 
+    # In report order: the scalars, then the arrays.
     measure: str
     n: int
     replicates: int
     true_value: float
     sigma: float
-    t_values: np.ndarray
     mean: float
     variance: float
     ks_distance: float
+    t_values: np.ndarray
     bin_edges: np.ndarray  # 41 edges spanning [-4, 4]
     bin_counts: np.ndarray  # 40 counts, outliers clamped into edge bins
     qq_theoretical: np.ndarray  # normal quantiles at (i - 0.5) / replicates
@@ -472,10 +473,10 @@ def normality_study(
         replicates=replicates,
         true_value=truth,
         sigma=sigma,
-        t_values=t_values,
         mean=float(t_values.mean()),
         variance=float(t_values.var(ddof=1)),
         ks_distance=_ks_distance(sorted_t),
+        t_values=t_values,
         bin_edges=edges,
         bin_counts=counts,
         qq_theoretical=qq_theoretical,

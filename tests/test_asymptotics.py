@@ -8,6 +8,7 @@ formula.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,21 @@ class TestConfidenceInterval:
             confidence_interval(0.0, 1.0, 10, 2.0**-53)
         lo, hi = confidence_interval(0.0, 1.0, 10, float(np.nextafter(2.0**-53, 1.0)))
         assert math.isfinite(hi) and lo == -hi
+
+    def test_alpha_is_checked_before_variance_and_n(self):
+        with pytest.raises(ValueError, match="^alpha must exceed 2"):
+            confidence_interval(0.0, -1.0, 0, 1e-17)
+
+    @pytest.mark.parametrize("n", [math.inf, 1e300, 2.5], ids=["inf", "1e300", "2.5"])
+    def test_rejects_a_sample_size_that_is_not_an_integer(self, n):
+        """An infinite or huge float n gave the zero-width interval (0.5, 0.5)."""
+        with pytest.raises(ValueError, match=re.escape(f"sample size must be an integer, got {n!r}")):
+            confidence_interval(0.5, 0.1, n, 0.05)
+
+    def test_takes_a_numpy_integer_sample_size(self):
+        expected = confidence_interval(0.5, 0.1, 100, 0.05)
+        assert confidence_interval(0.5, 0.1, np.int64(100), 0.05) == expected
+        assert expected[0] < 0.5 < expected[1]
 
 
 class TestEstimateReport:

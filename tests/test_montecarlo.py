@@ -964,8 +964,8 @@ def _reference_normality(p, n, replicates, measure, seed):
     counts, _ = np.histogram(np.clip(t_values, -4.0, 4.0), bins=edges)
     qq = np.array([normal_quantile((i - 0.5) / replicates) for i in range(1, replicates + 1)])
     return montecarlo.NormalityStudy(
-        measure, n, replicates, truth, sigma, t_values, float(t_values.mean()),
-        float(t_values.var(ddof=1)), montecarlo._ks_distance(sorted_t), edges, counts,
+        measure, n, replicates, truth, sigma, float(t_values.mean()),
+        float(t_values.var(ddof=1)), montecarlo._ks_distance(sorted_t), t_values, edges, counts,
         qq, sorted_t,
     )
 

@@ -54,6 +54,18 @@ def test_the_empty_sample_rule_is_written_once():
     assert not any("all counts are zero" in path.read_text(encoding="utf-8") for path in FILES)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["alpha must be in (0, 1)", "alpha must exceed 2**-", "quantile level must be in (0, 1)",
+     "empty input: no data rows"],
+)
+def test_each_level_rule_is_written_once(text):
+    """``asymptotics._level`` refuses an alpha for both the interval and the
+    test, ``normal_quantile`` a quantile level for both quantiles, and
+    ``_reader._labeled`` an empty file for both readers."""
+    assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
+
+
 def test_the_record_walk_is_entered_in_one_place():
     """Both readers hand the rest of a file to the record walk through
     ``_reader._walk_from``, the one place that logs where and why."""
