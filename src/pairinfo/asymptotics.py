@@ -8,12 +8,13 @@ p-weighted sum of a per-cell term ``c_k`` of :mod:`pairinfo.measures`
 
     sigma^2 = sum_k p_k c_k^2 - (sum_k p_k c_k)^2.
 
-It is evaluated in a shifted, centered form (see :func:`_variance`), so it
-is never negative and is exactly 0 when ``c`` is constant on the support.
+It is evaluated per row of a block, in a shifted, centered form (see
+:func:`_variance_rows`), so it is never negative and is exactly 0 when
+``c`` is constant on the support; the scalar variances are row 0.
 
 Also here: the summability constant ``sum_k |1 + log p_k|`` that controls
-the estimator's convergence rate, normal-based confidence intervals, and
-plain estimate reports.
+the estimator's convergence rate, normal-based confidence intervals (each
+row's by :func:`_interval_rows`), and plain estimate reports.
 """
 
 from __future__ import annotations
@@ -45,20 +46,20 @@ class EstimateReport:
     variance: float  # nats squared; last, as in the reports
 
 
-def _variance(probs: np.ndarray, weights: np.ndarray) -> float:
-    """``sum p c^2 - (sum p c)^2`` for weights ``c`` against probabilities ``p``.
+def _variance_rows(freqs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``sum p c^2 - (sum p c)^2`` of each row of (m, k) blocks ``p`` and ``c``.
 
-    Only the support counts (the 0 * log 0 convention); weights off it are
-    ignored.  With ``d = c - c[j]`` for the first support cell ``j`` and
-    ``m = sum p d``, the sum ``sum p (d - m)^2`` is never negative, and it
-    is exactly 0 when ``c`` is constant on the support, where the
-    uncentered form can round to -4e-16.
+    Only a row's support counts (the 0 * log 0 convention); terms off it
+    are zeroed.  With ``d = c - c[j]`` for the row's first support cell
+    ``j`` and ``m = sum p d``, the sum ``sum p (d - m)^2`` is never
+    negative, and it is exactly 0 when ``c`` is constant on the support,
+    where the uncentered form can round to -4e-16.
     """
-    support = probs > 0
-    p, c = probs[support], weights[support]
-    d = c - c[0]
-    m = (p * d).sum()
-    return float((p * (d - m) ** 2).sum())
+    support = freqs > 0
+    first = terms[np.arange(len(terms)), support.argmax(axis=1)][:, None]
+    d = np.where(support, terms - first, 0.0)
+    m = (freqs * d).sum(axis=1)
+    return (freqs * (d - m[:, None]) ** 2).sum(axis=1)
 
 
 def entropy_variance(p: PmfLike) -> float:
@@ -68,8 +69,8 @@ def entropy_variance(p: PmfLike) -> float:
     out of a variance.  It is 0 exactly when the distribution is uniform
     on its support, a point mass included.
     """
-    probs = z_vector(p)
-    return _variance(probs, _floored_log(probs))
+    probs = z_vector(p).reshape(1, -1)
+    return float(_variance_rows(probs, _floored_log(probs))[0])
 
 
 def mi_variance(p: PmfLike) -> float:
@@ -79,8 +80,8 @@ def mi_variance(p: PmfLike) -> float:
     pointwise mutual information of each cell, the measure's own floored
     term; it is 0 when the coordinates are independent.
     """
-    table = _as_table(p)
-    return _variance(table.ravel(), _pointwise_mi(table[None]).ravel())
+    table = _as_table(p)[None]
+    return float(_variance_rows(table.reshape(1, -1), _pointwise_mi(table).reshape(1, -1))[0])
 
 
 def rate_constant(p: PmfLike) -> float:
@@ -122,17 +123,24 @@ def _level(alpha: float, tails: int) -> float:
     return 1.0 - alpha / tails
 
 
+def _interval_rows(estimates, std_errors, level: float):
+    """``estimate -+ z_level * std_error`` of each row: the normal interval at ``level``."""
+    half = normal_quantile(level) * std_errors
+    return estimates - half, estimates + half
+
+
 def confidence_interval(
     estimate: float, variance: float, n: int, alpha: float
 ) -> tuple[float, float]:
     """Two-sided normal interval ``estimate -+ z_{1-alpha/2} sqrt(variance/n)``."""
     level = _level(alpha, 2)
+    if not math.isfinite(estimate):
+        raise ValueError(f"estimate must be finite, got {estimate}")
     if not variance >= 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if not n >= 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    half = normal_quantile(level) * math.sqrt(variance / _integer(n, "sample size"))
-    return estimate - half, estimate + half
+    return _interval_rows(estimate, math.sqrt(variance / _integer(n, "sample size")), level)
 
 
 def estimate_report(measure: str, emp, alpha: float = 0.05) -> EstimateReport:
@@ -154,12 +162,13 @@ def estimate_report(measure: str, emp, alpha: float = 0.05) -> EstimateReport:
             f"unknown measure {measure!r}; expected 'joint_entropy' or "
             f"'mutual_information'"
         )
-    lo, hi = confidence_interval(value, var, n, alpha)
+    std_error = math.sqrt(var / n)
+    lo, hi = _interval_rows(value, std_error, _level(alpha, 2))
     return EstimateReport(
         measure=measure,
         estimate=value,
         n=n,
-        std_error=math.sqrt(var / n),
+        std_error=std_error,
         ci_lower=lo,
         ci_upper=hi,
         alpha=alpha,

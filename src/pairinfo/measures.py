@@ -17,7 +17,7 @@ below ``1e-150`` either way.
 H and MI are each the p-weighted sum of one floored per-cell term, written
 once here: :func:`_floored_log` (H is minus its sum) and
 :func:`_pointwise_mi`.  The delta-method variances in
-:mod:`pairinfo.asymptotics` are the variances of the same terms.
+:mod:`pairinfo.asymptotics` are row kernels over the same terms.
 
 Each measure has one formula, written as a kernel over a block of
 distributions with a leading batch axis (:func:`entropy_rows`,

@@ -31,7 +31,10 @@ from pairinfo import (
     rate_constant,
     z_view,
 )
+from pairinfo.asymptotics import _interval_rows, _level, _variance_rows
+from pairinfo.measures import _floored_log, _pointwise_mi, entropy_rows, mutual_information_rows
 from conftest import DEMO_TABLE
+import test_measures
 
 H_DEMO = 1.2798542258336675
 MI_DEMO = 0.0040217432304824318
@@ -96,6 +99,13 @@ class TestEntropyVariance:
     def test_degenerate_is_zero(self):
         z = ZPmf([1.0, 0.0, 0.0, 0.0], PairShape(2, 2))
         assert entropy_variance(z) == 0.0
+
+    def test_uniform_on_a_support_after_an_empty_cell_is_zero(self):
+        """The terms are shifted by the first support cell's, not by the
+        floored term of an empty cell ahead of it."""
+        for size in range(2, 101):
+            emp = EmpiricalPmf(np.r_[0, np.full(size - 1, 3)], PairShape(1, size))
+            assert entropy_variance(emp) == 0.0, size
 
     def test_zero_cells_contribute_nothing(self):
         """Zero cells drop out; no error is raised."""
@@ -199,14 +209,16 @@ class TestConfidenceInterval:
             confidence_interval(0.0, 1.0, 0, 0.05)
 
     @pytest.mark.parametrize(
-        "variance, n, message",
-        [(math.nan, 10, "variance must be nonnegative, got nan"),
-         (1.0, math.nan, "sample size must be at least 1, got nan")],
-        ids=["variance", "n"],
+        "estimate, variance, n, message",
+        [(math.nan, 0.1, 10, "estimate must be finite, got nan"),
+         (0.5, math.nan, 10, "variance must be nonnegative, got nan"),
+         (0.5, 1.0, math.nan, "sample size must be at least 1, got nan")],
+        ids=["estimate", "variance", "n"],
     )
-    def test_rejects_nan(self, variance, n, message):
+    def test_rejects_nan(self, estimate, variance, n, message):
+        """A NaN estimate gave the interval (nan, nan)."""
         with pytest.raises(ValueError, match=message):
-            confidence_interval(0.5, variance, n, 0.05)
+            confidence_interval(estimate, variance, n, 0.05)
 
     def test_alpha_too_small_to_use(self):
         """Below 2**-53, 1 - alpha/2 rounds to 1; just above it the interval
@@ -232,6 +244,39 @@ class TestConfidenceInterval:
         expected = confidence_interval(0.5, 0.1, 100, 0.05)
         assert confidence_interval(0.5, 0.1, np.int64(100), 0.05) == expected
         assert expected[0] < 0.5 < expected[1]
+
+
+class TestRowKernels:
+    """Each row of a block gets the variance and the interval that the
+    scalar functions give its table alone, bit for bit."""
+
+    @staticmethod
+    def block():
+        rng = np.random.default_rng(21)
+        dense = rng.dirichlet(np.ones(9), size=4)
+        sparse = rng.dirichlet(np.full(9, 0.5), size=6)
+        sparse[rng.random(sparse.shape) < 0.4] = 0.0
+        sparse[:, 8] += sparse.sum(axis=1) == 0  # no empty row
+        empty_row_and_column = dense[0].reshape(3, 3).copy()
+        empty_row_and_column[1, :] = empty_row_and_column[:, 2] = 0.0
+        point_mass = np.eye(1, 9, 4)
+        floors = [t.ravel() for t in test_measures.TestVarianceFloors.floor_tables()]
+        rows = np.vstack([dense, sparse, empty_row_and_column.ravel(), point_mass, *floors])
+        return rows / rows.sum(axis=1)[:, None]
+
+    def test_rows_equal_scalar_calls_bit_for_bit(self):
+        freqs, shape, n, alpha = self.block(), PairShape(3, 3), 37, 0.05
+        mi_terms = _pointwise_mi(freqs.reshape(-1, 3, 3)).reshape(freqs.shape)
+        for variance, estimates, terms in [
+            (entropy_variance, entropy_rows(freqs), _floored_log(freqs)),
+            (mi_variance, mutual_information_rows(freqs, shape), mi_terms),
+        ]:
+            variances = _variance_rows(freqs, terms)
+            lo, hi = _interval_rows(estimates, np.sqrt(variances / n), _level(alpha, 2))
+            for i, row in enumerate(freqs):
+                assert variances[i] == variance(ZPmf(row, shape))
+                assert (lo[i], hi[i]) == confidence_interval(estimates[i], variances[i], n, alpha)
+        assert variances[-1] > 0 and variances[-4] == 0.0  # the floors count; a point mass does not
 
 
 class TestEstimateReport:

@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 
 from pairinfo import (
-    EmpiricalPmf,
     PairShape,
     RngSpec,
     ZPmf,
-    estimate_report,
     joint_entropy,
-    lrt_statistic,
     lrt_threshold,
     mutual_information,
     rejection_rate,
 )
+from pairinfo.asymptotics import _interval_rows, _level, _variance_rows
+from pairinfo.measures import _floored_log, _pointwise_mi, entropy_rows, mutual_information_rows
 
 # The product of the rows (0.4, 0.6) and the columns (0.3, 0.7): MI is 0,
 # so the test's rejection rate is its level.
@@ -50,20 +49,24 @@ def _weights(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def exact_rates():
+    """Every outcome's report is one row of a block: the estimate (MI
+    clamped at 0, as ``estimate_report`` clamps it), its delta-method
+    variance and its interval, and the test's ``2 n MI``, as
+    ``rejection_rate`` computes it."""
     counts = _count_vectors(N, PRODUCT.shape.size)
     weights = _weights(counts, PRODUCT.probs)
-    truths = {"joint_entropy": joint_entropy(PRODUCT),
-              "mutual_information": mutual_information(PRODUCT)}
+    freqs = counts / N
+    mi = mutual_information_rows(freqs, PRODUCT.shape)
+    terms = _pointwise_mi(freqs.reshape(-1, 2, 2)).reshape(freqs.shape)
+    rows = {"joint_entropy": (joint_entropy(PRODUCT), entropy_rows(freqs), _floored_log(freqs)),
+            "mutual_information": (mutual_information(PRODUCT), np.maximum(0.0, mi), terms)}
+    rates = {}
+    for measure, (truth, estimates, cell_terms) in rows.items():
+        std_errors = np.sqrt(_variance_rows(freqs, cell_terms) / N)
+        lo, hi = _interval_rows(estimates, std_errors, _level(ALPHA, 2))
+        rates[measure] = float(weights[(lo <= truth) & (truth <= hi)].sum())
     _, threshold = lrt_threshold(PRODUCT.shape, ALPHA)
-    covers = {measure: np.zeros(len(counts), bool) for measure in truths}
-    rejects = np.zeros(len(counts), bool)
-    for row, vector in enumerate(counts):
-        emp = EmpiricalPmf(vector, PRODUCT.shape)
-        for measure, truth in truths.items():
-            report = estimate_report(measure, emp, ALPHA)
-            covers[measure][row] = report.ci_lower <= truth <= report.ci_upper
-        rejects[row] = lrt_statistic(emp) > threshold
-    rates = {measure: float(weights[hit].sum()) for measure, hit in covers.items()}
+    rejects = 2.0 * N * mi > threshold
     return len(counts), float(weights.sum()), rates, float(weights[rejects].sum())
 
 

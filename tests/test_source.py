@@ -73,6 +73,18 @@ def test_the_record_walk_is_entered_in_one_place():
     assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
 
 
+def test_the_variance_and_the_interval_are_row_kernels():
+    """``asymptotics`` writes each once over a block of rows and takes the
+    scalar as row 0: no ``_variance`` beside ``_variance_rows``, and no
+    per-row loop."""
+    tree = ast.parse((SRC / "asymptotics.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"_variance_rows", "_interval_rows"} <= names and "_variance" not in names
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, loops)]
+
+
 def _imported(node) -> list[str]:
     """The modules an import statement in a module of pairinfo may load."""
     if isinstance(node, ast.Import):
