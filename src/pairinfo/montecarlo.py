@@ -19,10 +19,10 @@ and the counts of ``n`` i.i.d. draws of Z follow Multinomial(n, p).  So
 the studies never draw raw outcomes: :func:`_replicates` makes replicate
 ``i``'s counts with one ``multinomial(n, p)`` call on the substream keyed
 by ``(master_seed, i)``, in O(k) memory whatever ``n`` is.  It draws
-consecutive replicates into the rows of one int64 block and runs the
-study's statistic, a batch kernel of :mod:`pairinfo.measures`, on the
-whole block at once.  :func:`sample_z` stays public for callers that need
-raw outcomes.
+consecutive replicates into the rows of one int64 block, runs the study's
+statistic (a batch kernel of :mod:`pairinfo.measures`) on the whole block
+and yields the result; :func:`rejection_rate` counts that stream as it
+comes, the others join it.  :func:`sample_z` stays public for raw outcomes.
 
 Determinism contract: every replicate (a trace size counts as one) is a
 row of a block of :func:`_replicates`, and replicate ``i`` draws only
@@ -32,8 +32,8 @@ seed.  The seed words are derived 2048 streams at a time in one vectorized
 pass, bit for bit as ``np.random.PCG64(key)`` derives them one key at a
 time.  On a wide support each block is drawn and measured on one of a
 pool of worker threads, one per available CPU, but each row still uses its
-own substream, built on the calling thread, and the blocks' results are
-gathered in index order.  A row's statistic does not depend on the other
+own substream, built on the consuming thread, and the blocks' results are
+yielded in index order.  A row's statistic does not depend on the other
 rows of its block, so results are byte-identical for a given seed and
 configuration whatever the block size and the number of threads, and a
 larger study extends a smaller one: its first replicates are the smaller
@@ -48,7 +48,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -267,8 +267,8 @@ def _drawn_block(statistic: Callable, weights: np.ndarray, k: int, gens, sizes) 
 
 def _replicates(
     p: PmfLike, sizes: Sequence[int], rng: RngSpec, statistic: Callable, replicates=None
-) -> np.ndarray:
-    """``statistic`` of the replicates' frequencies, joined along its last axis.
+) -> Iterator[np.ndarray]:
+    """``statistic`` of each block of the replicates' frequencies, in index order.
 
     Replicate ``i`` is one ``multinomial(sizes[i], ...)`` draw from
     substream ``(master_seed, i)``, and ``statistic`` maps a block of
@@ -283,11 +283,11 @@ def _replicates(
     With more than one CPU and a support of at least ``_POOL_MIN_CELLS``
     cells, each block (its draws, division and statistic) runs on one of a
     pool of threads, one per CPU, at most two blocks per thread in flight;
-    the caller builds the substreams and gathers the results in index
-    order.  Otherwise each substream is built as its row is drawn.  Every
-    size is checked before the first draw, and no thread outlives the call.
-    Given ``replicates``, ``sizes`` holds their one size, repeated by a view,
-    and blocks are made as drawn: nothing holds a size or block per replicate.
+    the consumer builds the substreams.  Otherwise each substream is built
+    as its row is drawn.  Every size is checked before the first draw, and
+    no thread outlives the stream, whether it ends, raises or is closed.
+    Given ``replicates``, ``sizes`` holds their one size, repeated by a
+    view: nothing holds a size, a block or a result per replicate.
     """
     sizes = [_integer(n, "sample size") for n in sizes]
     # Checked before int64 holds them, which past its range would overflow.
@@ -310,17 +310,17 @@ def _replicates(
     blocks = ((streams[i : i + rows], sizes[i : i + rows]) for i in streams[::rows])
     threads = _cpus()
     if threads < 2 or support.size < _POOL_MIN_CELLS:
-        return np.concatenate([block(map(rng.substream, s), n) for s, n in blocks], axis=-1)
+        yield from (block(map(rng.substream, s), n) for s, n in blocks)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    results, pending = [], deque()
+    pending = deque()
     with ThreadPoolExecutor(threads) as pool:
         for s, n in blocks:
             pending.append(pool.submit(block, [rng.substream(i) for i in s], n))
             if len(pending) == 2 * threads:
-                results.append(pending.popleft().result())
-        results.extend(future.result() for future in pending)
-    return np.concatenate(results, axis=-1)
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
 def _replicate_count(replicates, least: int, study: str) -> int:
@@ -365,7 +365,7 @@ def convergence_trace(
     def statistic(freqs: np.ndarray) -> np.ndarray:
         return np.stack((kernel(freqs), np.abs(freqs - probs).max(axis=1)))
 
-    estimates, a_zn = _replicates(p, sizes, rng, statistic)
+    estimates, a_zn = np.concatenate([*_replicates(p, sizes, rng, statistic)], axis=-1)
     abs_errors = np.abs(estimates - truth)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(a_zn > 0, abs_errors / a_zn, np.nan)
@@ -459,7 +459,7 @@ def normality_study(
             "warning: plug-in %s bias at the true p.m.f. is %.3g standard errors "
             "at n = %d; the t values centre near it, not 0", measure, ratio, n,
         )
-    estimates = _replicates(p, [n], rng, kernel, replicates)
+    estimates = np.concatenate([*_replicates(p, [n], rng, kernel, replicates)])
     t_values = math.sqrt(n) / sigma * (estimates - truth)
     sorted_t = np.sort(t_values)
     edges = np.linspace(-4.0, 4.0, 41)
@@ -504,7 +504,7 @@ def rejection_rate(
     def rejects(freqs: np.ndarray) -> np.ndarray:
         return 2.0 * n * kernel(freqs) > threshold  # 2n MI, as lrt_statistic computes it
 
-    return int(_replicates(p, [n], rng, rejects, replicates).sum()) / replicates  # checks n
+    return sum(map(np.count_nonzero, _replicates(p, [n], rng, rejects, replicates))) / replicates
 
 
 class VarianceCheck(NamedTuple):
@@ -525,7 +525,7 @@ def variance_check(
     delta-method variance at the true p.m.f."""
     _, variance, kernel = _measure(measure, p)  # an unknown measure fails here
     replicates = _replicate_count(replicates, 2, "variance check")
-    estimates = _replicates(p, [n], rng, kernel, replicates)
+    estimates = np.concatenate([*_replicates(p, [n], rng, kernel, replicates)])
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),
         canonical=variance(p),

@@ -51,6 +51,11 @@ def _wide_counts(seed: int) -> np.ndarray:
     return rng.multinomial(10**6, rng.dirichlet(np.ones(10**4)))
 
 
+def _joined(*args):
+    """The stream of ``montecarlo._replicates(*args)`` joined along its last axis."""
+    return np.concatenate([*montecarlo._replicates(*args)], axis=-1)
+
+
 class TestRngSpec:
     def test_substreams_are_reproducible(self):
         a = RngSpec(123).substream(5).random(8)
@@ -133,7 +138,7 @@ class TestCountEngine:
 
     def test_counts_follow_the_multinomial_law(self, demo_z):
         n, replicates, k = 1000, 400, demo_z.shape.size
-        freqs = montecarlo._replicates(demo_z, [n] * replicates, RngSpec(3), np.transpose).T
+        freqs = _joined(demo_z, [n] * replicates, RngSpec(3), np.transpose).T
         counts = np.rint(freqs * n).astype(np.int64)
         assert counts.shape == (replicates, k)
         assert (counts.sum(axis=1) == n).all()
@@ -184,22 +189,24 @@ class TestCountEngine:
             tracemalloc.stop()
         assert peak < 2_500_000
 
-    def test_wide_tables_hold_no_block_each(self, monkeypatch):
-        """On a wide table a block is one replicate, so a list of the blocks
-        held a tuple per replicate: 50,000 replicates of stubbed draws
-        peaked at 22.6 MB, and 8.2 MB, mostly the per-block results, with
-        the blocks made one at a time."""
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_tables_hold_no_block_each(self, monkeypatch, threads):
+        """On a wide table a block is one replicate, so anything kept per
+        block grows with R.  A list of the blocks peaked at 22.6 MB for
+        50,000 replicates of stubbed draws; a list of their results at 8.2
+        MB, and 32.2 MB for 200,000 on 1 or 2 threads.  Counted as they
+        come, 200,000 peak at 0.16 MB on 1 thread and 0.43 MB on 2."""
         z = ZPmf(np.full(10**4, 1e-4), PairShape(100, 100))
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: threads)
         monkeypatch.setattr(montecarlo, "_drawn_block", lambda *args: np.zeros(args[-1].size))
         rejection_rate(z, 10, 100, 0.05, RngSpec(0))  # warm-up: imports, caches
         tracemalloc.start()
         try:
-            assert rejection_rate(z, 10, 50_000, 0.05, RngSpec(0)) == 0.0
+            assert rejection_rate(z, 10, 200_000, 0.05, RngSpec(0)) == 0.0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12_000_000
+        assert peak < 1_000_000
 
     def test_memory_does_not_grow_with_sample_size(self, demo_z):
         tracemalloc.start()
@@ -531,7 +538,7 @@ def _run_variance_replicates(z, value):
 
 def _run_replicate_sizes(z, value):
     # One odd size among plain ints leaves the one-pass check of plain ints.
-    return montecarlo._replicates(z, [1000] * 5 + [value], RngSpec(0), np.transpose)
+    return _joined(z, [1000] * 5 + [value], RngSpec(0), np.transpose)
 
 
 def _values(result):
@@ -835,8 +842,29 @@ class TestDrawThreads:
         monkeypatch.setattr(RngSpec, "substream", counting)
         self._force_threads(monkeypatch, 2)
         with pytest.raises(ValueError, match="sample size must be at least 1"):
-            montecarlo._replicates(wide, [1000] * 20 + [0], RngSpec(0), np.transpose)
+            _joined(wide, [1000] * 20 + [0], RngSpec(0), np.transpose)
         assert calls == []
+
+    def test_closing_a_stream_joins_the_pool_and_draws_no_more(self, wide, monkeypatch):
+        """Closed after its first block, a pooled stream ends as no return
+        could: the blocks in flight are drawn, no others, and ``close``
+        joins every thread of the pool."""
+        threads = 2
+        self._force_threads(monkeypatch, threads)
+        drawn_block, drawn = montecarlo._drawn_block, []
+
+        def counting(statistic, weights, k, gens, sizes):
+            drawn.append(sizes.size)
+            return drawn_block(statistic, weights, k, gens, sizes)
+
+        monkeypatch.setattr(montecarlo, "_drawn_block", counting)
+        baseline = threading.active_count()
+        rows = montecarlo._BLOCK_CELLS // wide.shape.size
+        stream = montecarlo._replicates(wide, [1000], RngSpec(0), np.transpose, 12 * rows)
+        assert next(stream).shape == (wide.shape.size, rows)
+        stream.close()
+        assert threading.active_count() == baseline
+        assert 1 <= len(drawn) <= 2 * threads + 1 and set(drawn) == {rows}
 
 
 def _old_substream(self, stream):
@@ -1081,7 +1109,7 @@ class TestCountBlocks:
         for z, replicates, rows in [(demo_z, 5000, 4096), (wide_with_zeros, 20, 4)]:
             blocks.clear()
             sizes = list(range(1000, 1000 + replicates))
-            freqs = montecarlo._replicates(z, sizes, RngSpec(0), np.transpose).T
+            freqs = _joined(z, sizes, RngSpec(0), np.transpose).T
             assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
             assert 1 <= len(blocks[-1]) <= rows
             assert all(b.dtype == np.int64 for b in blocks)

@@ -85,6 +85,24 @@ def test_the_variance_and_the_interval_are_row_kernels():
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, loops)]
 
 
+def test_the_replicates_are_a_stream_and_the_rate_a_count():
+    """``montecarlo._replicates`` yields each block's result and joins none,
+    and ``rejection_rate`` counts the stream as it comes: neither holds a
+    result per replicate, whatever the number of replicates."""
+    tree = ast.parse((SRC / "montecarlo.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def named(function: str) -> set[str]:
+        nodes = ast.walk(functions[function])
+        return {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
+
+    engine = functions["_replicates"]
+    assert any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(engine))
+    assert "concatenate" not in named("_replicates")
+    assert {"_replicates", "count_nonzero"} <= named("rejection_rate")
+    assert "concatenate" not in named("rejection_rate")
+
+
 def _imported(node) -> list[str]:
     """The modules an import statement in a module of pairinfo may load."""
     if isinstance(node, ast.Import):
