@@ -138,9 +138,7 @@ def confidence_interval(
         raise ValueError(f"estimate must be finite, got {estimate}")
     if not variance >= 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    if not n >= 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    return _interval_rows(estimate, math.sqrt(variance / _integer(n, "sample size")), level)
+    return _interval_rows(estimate, math.sqrt(variance / _integer(n, "sample size", 1)), level)
 
 
 def estimate_report(measure: str, emp, alpha: float = 0.05) -> EstimateReport:

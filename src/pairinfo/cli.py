@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import encoding
 from .asymptotics import estimate_report
 from .inference import independence_test
 from .montecarlo import (
@@ -83,10 +84,8 @@ def parse_sizes(text: str) -> list[int]:
         start, stop, step = (int(part) for part in parts)
     except ValueError:
         raise ValueError(f"sizes must be three integers, got {text!r}") from None
-    if start < 1:
-        raise ValueError(f"sizes start must be >= 1, got {start}")
-    if step < 1:
-        raise ValueError(f"sizes step must be >= 1, got {step}")
+    encoding._integer(start, "sizes start", 1)
+    encoding._integer(step, "sizes step", 1)
     if stop < start:
         raise ValueError(f"sizes stop must be >= start, got {start}:{stop}:{step}")
     length = (stop - start) // step + 1

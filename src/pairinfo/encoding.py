@@ -17,11 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy ints pass, bools and the rest raise."""
+def _integer(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as an int in ``[least, most]``, either end left open by
+    ``None``: Python and numpy ints pass, bools and the rest raise."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -32,12 +38,8 @@ class PairShape:
     cols: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _integer(self.rows, "rows"))
-        object.__setattr__(self, "cols", _integer(self.cols, "cols"))
-        if self.rows < 1:
-            raise ValueError(f"rows must be >= 1, got {self.rows}")
-        if self.cols < 1:
-            raise ValueError(f"cols must be >= 1, got {self.cols}")
+        object.__setattr__(self, "rows", _integer(self.rows, "rows", 1))
+        object.__setattr__(self, "cols", _integer(self.cols, "cols", 1))
         # Fail at construction rather than at encode time.
         if self.rows * self.cols > sys.maxsize:
             raise ValueError(
@@ -57,19 +59,14 @@ class PairShape:
 
 def encode_pair(i: int, j: int, shape: PairShape) -> int:
     """Map the 1-based cell (i, j) to its flattened index cols*(i-1) + j."""
-    i, j = _integer(i, "row index i"), _integer(j, "column index j")
-    if not 1 <= i <= shape.rows:
-        raise ValueError(f"row index i = {i} outside [1, {shape.rows}]")
-    if not 1 <= j <= shape.cols:
-        raise ValueError(f"column index j = {j} outside [1, {shape.cols}]")
+    i = _integer(i, "row index i", 1, shape.rows)
+    j = _integer(j, "column index j", 1, shape.cols)
     return shape.cols * (i - 1) + j
 
 
 def decode_index(k: int, shape: PairShape) -> tuple[int, int]:
     """Invert :func:`encode_pair`: flattened index k back to the cell (i, j)."""
-    k = _integer(k, "flattened index k")
-    if not 1 <= k <= shape.size:
-        raise ValueError(f"flattened index k = {k} outside [1, {shape.size}]")
+    k = _integer(k, "flattened index k", 1, shape.size)
     i, j = divmod(k - 1, shape.cols)
     return i + 1, j + 1
 
@@ -81,9 +78,7 @@ def diagonal_index(i: int, shape: PairShape) -> int:
         raise ValueError(
             f"diagonal index requires a square shape, got {shape.rows} x {shape.cols}"
         )
-    i = _integer(i, "diagonal index i")
-    if not 1 <= i <= shape.cols:
-        raise ValueError(f"diagonal index i = {i} outside [1, {shape.cols}]")
+    i = _integer(i, "diagonal index i", 1, shape.cols)
     return encode_pair(i, i, shape)
 
 

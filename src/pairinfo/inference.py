@@ -138,16 +138,9 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
-def _validate_df(df: int) -> int:
-    df = _integer(df, "degrees of freedom")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be at least 1, got {df}")
-    return df
-
-
 def chi_square_cdf(x: float, df: int) -> float:
     """Chi-square c.d.f. with ``df`` degrees of freedom at ``x >= 0``."""
-    df = _validate_df(df)
+    df = _integer(df, "degrees of freedom", 1)
     if not x >= 0:
         raise ValueError(f"chi-square c.d.f. argument must be >= 0, got {x}")
     if x == math.inf:
@@ -164,7 +157,7 @@ def chi_square_quantile(p: float, df: int) -> float:
     iterations on the log of the tail, safeguarded by a shrinking
     bisection bracket.
     """
-    df = _validate_df(df)
+    df = _integer(df, "degrees of freedom", 1)
     z = normal_quantile(p)  # also refuses a p outside (0, 1)
     a = df / 2.0
     upper = bool(p > 0.5)

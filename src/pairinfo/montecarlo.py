@@ -187,10 +187,8 @@ class RngSpec:
         object.__setattr__(self, "master_seed", seed & _MASK64)
 
     def substream(self, stream: int) -> np.random.Generator:
-        if type(stream) is not int:
-            stream = _integer(stream, "stream index")
-        if not 0 <= stream <= _MASK64:
-            raise ValueError(f"stream index must be in [0, 2**64), got {stream}")
+        if type(stream) is not int or not 0 <= stream <= _MASK64:
+            stream = _integer(stream, "stream index", 0, _MASK64)
         block, row = divmod(stream, _BLOCK)
         return _generator(_seed_block(self.master_seed, block)[row])
 
@@ -201,9 +199,7 @@ def sample_z(p: ZPmf, n: int, rng: RngSpec, stream: int = 0) -> np.ndarray:
     Inverse-CDF lookup on the precomputed cumulative p.m.f.; zero cells
     have zero-width intervals and are never drawn.
     """
-    n = _integer(n, "sample size")
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
+    n = _integer(n, "sample size", 1)
     cum = np.cumsum(z_vector(p))
     cum[-1] = 1.0  # uniform draws live in [0, 1), so indices stay in range
     u = rng.substream(stream).random(n)
@@ -286,16 +282,12 @@ def _replicates(
     the consumer builds the substreams.  Otherwise each substream is built
     as its row is drawn.  Every size is checked before the first draw, and
     no thread outlives the stream, whether it ends, raises or is closed.
-    Given ``replicates``, ``sizes`` holds their one size, repeated by a
-    view: nothing holds a size, a block or a result per replicate.
+    Given ``replicates`` (at most ``sys.maxsize``, the longest shape numpy
+    makes), ``sizes`` holds their one size, repeated by a view: nothing
+    holds a size, a block or a result per replicate.
     """
-    sizes = [_integer(n, "sample size") for n in sizes]
     # Checked before int64 holds them, which past its range would overflow.
-    if min(sizes, default=1) < 1 or max(sizes, default=1) > _INT64_MAX:
-        bad = next(n for n in sizes if not 1 <= n <= _INT64_MAX)
-        bound = "at least 1" if bad < 1 else f"at most {_INT64_MAX}"
-        raise ValueError(f"sample size must be {bound}, got {bad}")
-    sizes = np.array(sizes, dtype=np.int64)
+    sizes = np.array([_integer(n, "sample size", 1, _INT64_MAX) for n in sizes], dtype=np.int64)
     if replicates is not None:
         try:
             sizes = np.broadcast_to(sizes, replicates)
@@ -323,17 +315,6 @@ def _replicates(
         yield from (future.result() for future in pending)
 
 
-def _replicate_count(replicates, least: int, study: str) -> int:
-    """``replicates`` as an int in ``[least, sys.maxsize]``; no array holds
-    a result per replicate past ``sys.maxsize``."""
-    replicates = _integer(replicates, "replicates")
-    if replicates < least:
-        raise ValueError(f"{study} needs >= {least} replicates, got {replicates}")
-    if replicates > sys.maxsize:
-        raise ValueError(f"replicates must be at most {sys.maxsize}, got {replicates}")
-    return replicates
-
-
 @dataclass(frozen=True)
 class ConvergenceTrace:
     """Estimates and error diagnostics along growing sample sizes."""
@@ -352,11 +333,9 @@ def convergence_trace(
 ) -> ConvergenceTrace:
     """Fresh-sample estimates at each size; size index keys the substream."""
     truth_fn, _, kernel = _measure(measure, p)
-    sizes = [_integer(n, "sample size") for n in sizes]
+    sizes = [_integer(n, "sample size", 1) for n in sizes]
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    if sizes[0] < 1:
-        raise ValueError(f"sizes must be >= 1, got {sizes[0]}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     truth = truth_fn(p)
@@ -428,10 +407,8 @@ def normality_study(
     ``p`` exceeds the standard error, which shifts the t values.
     """
     truth_fn, variance, kernel = _measure(measure, p)
-    n = _integer(n, "sample size")
-    if n < 1000:
-        raise ValueError(f"normality study needs n >= 1000, got {n}")
-    replicates = _replicate_count(replicates, 100, "normality study")
+    n = _integer(n, "sample size", 1000)
+    replicates = _integer(replicates, "replicates", 100, sys.maxsize)
     truth = truth_fn(p)
     sigma_sq = variance(p)
     # A variance within rounding of the k weights is 0, as MI's is at
@@ -497,7 +474,7 @@ def rejection_rate(
     once, before any replicate is drawn; each replicate then rejects
     exactly when :func:`~pairinfo.inference.independence_test` would.
     """
-    replicates = _replicate_count(replicates, 1, "rejection rate")
+    replicates = _integer(replicates, "replicates", 1, sys.maxsize)
     _, threshold = lrt_threshold(p.shape, alpha)
     _, _, kernel = _measure("mi", p)
 
@@ -524,7 +501,7 @@ def variance_check(
     """Monte Carlo variance of the sqrt(n)-scaled estimator next to the
     delta-method variance at the true p.m.f."""
     _, variance, kernel = _measure(measure, p)  # an unknown measure fails here
-    replicates = _replicate_count(replicates, 2, "variance check")
+    replicates = _integer(replicates, "replicates", 2, sys.maxsize)
     estimates = np.concatenate([*_replicates(p, [n], rng, kernel, replicates)])
     return VarianceCheck(
         empirical=float(n * estimates.var(ddof=1)),

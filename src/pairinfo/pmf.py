@@ -41,9 +41,7 @@ def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
     names one entry.
     """
     for v in arr.tolist():
-        v = _integer(v, what)
-        if not _INT64_MIN <= v <= _INT64_MAX:
-            raise ValueError(f"{what} must lie in the int64 range, got {v}")
+        _integer(v, what, _INT64_MIN, _INT64_MAX)
     return arr.astype(np.int64)
 
 
@@ -233,9 +231,8 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
     bad = (arr < 1) | (arr > shape.size)
     if np.any(bad):
         pos = int(np.argmax(bad))
-        raise ValueError(
-            f"sample[{pos}] = {arr[pos]} outside [1, {shape.size}]"
-        )
+        value = arr[pos].item()  # int() is exact on an integral float; inf stays one
+        _integer(int(value) if np.isfinite(value) else value, f"sample[{pos}]", 1, shape.size)
     counts = np.bincount(arr.astype(np.int64, copy=False) - 1, minlength=shape.size)
     return EmpiricalPmf(counts, shape)
 

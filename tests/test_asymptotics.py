@@ -212,7 +212,7 @@ class TestConfidenceInterval:
         "estimate, variance, n, message",
         [(math.nan, 0.1, 10, "estimate must be finite, got nan"),
          (0.5, math.nan, 10, "variance must be nonnegative, got nan"),
-         (0.5, 1.0, math.nan, "sample size must be at least 1, got nan")],
+         (0.5, 1.0, math.nan, "^sample size must be an integer, got nan$")],
         ids=["estimate", "variance", "n"],
     )
     def test_rejects_nan(self, estimate, variance, n, message):

@@ -240,7 +240,7 @@ def _walk_counts(data, header):
             raise ValueError(f"line {lineno}: count must be an integer, got {raw!r}")
         count = int(raw)
         if count < 0:
-            raise ValueError(f"line {lineno}: count must be nonnegative, got {count}")
+            raise ValueError(f"line {lineno}: count must be at least 0, got {count}")
         if count > _INT64_MAX:
             raise ValueError(f"line {lineno}: count must be at most {_INT64_MAX}, got {count}")
         cell = (x_order.setdefault(x, len(x_order)), y_order.setdefault(y, len(y_order)))
@@ -687,7 +687,7 @@ class TestParseCountsCsv:
     def test_count_must_be_nonnegative_integer(self):
         with pytest.raises(ValueError, match="line 1: count"):
             _counts("x1,y1,2.5\n")
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="^line 1: count must be at least 0, got -2$"):
             _counts("x1,y1,-2\n")
 
     @pytest.mark.parametrize("raw", ["1_0", "٣", "１２"])

@@ -156,8 +156,9 @@ class TestEmpiricalPmf:
 
     def test_rejects_python_ints_beyond_int64(self):
         # numpy keeps ints beyond the uint64 range as an object array.
-        for counts in ([2**70, 1], [-(2**70), 1]):
-            with pytest.raises(ValueError, match=f"int64 range, got {counts[0]}"):
+        for counts, bound in (([2**70, 1], f"at most {2**63 - 1}"),
+                              ([-(2**70), 1], f"at least {-(2**63)}")):
+            with pytest.raises(ValueError, match=f"^count must be {bound}, got {counts[0]}$"):
                 EmpiricalPmf(counts, PairShape(1, 2))
         with pytest.raises(ValueError, match="count must be an integer, got 1.5"):
             EmpiricalPmf([1.5, 2**70], PairShape(1, 2))
@@ -211,13 +212,14 @@ class TestEstimatePmf:
             estimate_pmf([True, 2**70], PairShape(2, 2))
 
     def test_out_of_range_names_position(self):
-        with pytest.raises(ValueError, match=r"sample\[2\] = 5"):
+        with pytest.raises(ValueError, match=r"^sample\[2\] must be at most 4, got 5$"):
             estimate_pmf([1, 2, 5, 1], PairShape(2, 2))
-        with pytest.raises(ValueError, match=r"sample\[0\] = 0"):
+        with pytest.raises(ValueError, match=r"^sample\[0\] must be at least 1, got 0$"):
             estimate_pmf([0, 1], PairShape(2, 2))
 
     def test_rejects_python_ints_beyond_int64(self):
-        with pytest.raises(ValueError, match="int64 range, got 1180591620717411303424"):
+        message = "^outcome must be at most 9223372036854775807, got 1180591620717411303424$"
+        with pytest.raises(ValueError, match=message):
             estimate_pmf([2**70, 1], PairShape(2, 2))
         with pytest.raises(ValueError, match="outcome must be an integer, got 1.5"):
             estimate_pmf(np.array([1.5, 2], dtype=object), PairShape(2, 2))
@@ -228,8 +230,10 @@ class TestEstimatePmf:
         # The range check runs before the int64 cast, which would wrap these.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for value, shown in ((2.0**63, r"9\.223372036854776e\+18"), (np.inf, "inf")):
-                message = rf"sample\[0\] = {shown} outside \[1, 2\]"
+            for value, message in (
+                (2.0**63, r"^sample\[0\] must be at most 2, got 9223372036854775808$"),
+                (np.inf, r"^sample\[0\] must be an integer, got inf$"),
+            ):
                 with pytest.raises(ValueError, match=message):
                     estimate_pmf([value, 1], PairShape(1, 2))
             emp = estimate_pmf(np.array([1.0, 2.0, 2.0]), PairShape(1, 2))

@@ -37,12 +37,12 @@ def test_each_exported_name_is_defined_in_its_module(module):
 
 @pytest.mark.parametrize(
     "text",
-    ["count must be an integer", "count must be nonnegative", "count must be at most",
-     "duplicate cell"],
+    ["count must be an integer", 'count", 0, _INT64_MAX)', "duplicate cell"],
 )
 def test_each_counts_rule_is_written_once(text):
     """The counts reader splits plain lines in numpy and walks every other
-    line record by record; only the walk states a rule of the format."""
+    line record by record; only the walk states a rule of the format, the
+    count's range by its ``_integer`` call."""
     assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
 
 
@@ -64,6 +64,19 @@ def test_each_level_rule_is_written_once(text):
     test, ``normal_quantile`` a quantile level for both quantiles, and
     ``_reader._labeled`` an empty file for both readers."""
     assert sum(path.read_text(encoding="utf-8").count(text) for path in FILES) == 1
+
+
+def test_every_integer_range_is_stated_by_one_rule():
+    """``encoding._integer`` words the range of every bounded integer input,
+    so no other module writes a range text, and none of the old phrasings
+    is left."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in FILES}
+    for text in ["must be at least", "must be at most"]:
+        assert {name: source.count(text) for name, source in sources.items()
+                if text in source} == {"encoding.py": 1}
+    for text in ["outside [1,", ">= 1, got", "needs >=", "must be in [0, 2**64)",
+                 "_validate_df", "_replicate_count"]:
+        assert not [name for name, source in sources.items() if text in source], text
 
 
 def test_the_record_walk_is_entered_in_one_place():
