@@ -30,6 +30,27 @@ def _integer(value, name: str, least: int | None = None, most: int | None = None
     return value
 
 
+def _integers(values: np.ndarray, name: str, least: int, most: int) -> np.ndarray:
+    """A fresh int64 copy of the 1-D array ``values``, of any dtype; the
+    first entry that is not an integer in ``[least, most]`` (an integral
+    float counts as its int) goes to :func:`_integer` as ``name[i]``."""
+    kind = values.dtype.kind
+    if kind in "iuf":
+        # Bounds that round as floats may flag a good entry, never miss a bad one.
+        fit = (values > least - 1) & (values < most + 1)
+        if kind == "f":
+            fit &= values == np.floor(values)
+        suspects = np.flatnonzero(~fit)
+        entries = [int(v) if v % 1 == 0 else v for v in values[suspects].tolist()]
+    else:  # objects one by one; no bool, str, complex or datetime is an integer
+        suspects = range(values.size)
+        # A datetime goes as text: its tolist() may give bare ints.
+        entries = (values.astype(str) if kind in "Mm" else values).tolist()
+    for i, entry in zip(suspects, entries):
+        _integer(entry, f"{name}[{i}]", least, most)
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class PairShape:
     """Alphabet sizes of a pair of categorical variables."""

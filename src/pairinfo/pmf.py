@@ -19,11 +19,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encoding import PairShape, _integer
+from .encoding import PairShape, _integers
 
 NORMALIZATION_TOL = 1e-9
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -32,20 +31,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _from_objects(arr: np.ndarray, what: str) -> np.ndarray:
-    """An object array of integers as int64, checked exactly.
-
-    ``np.asarray`` keeps Python ints beyond the uint64 range as objects,
-    which numpy ufuncs and int64 casts reject with ``TypeError`` or
-    ``OverflowError``; here they get a ``ValueError`` instead.  ``what``
-    names one entry.
-    """
-    for v in arr.tolist():
-        _integer(v, what, _INT64_MIN, _INT64_MAX)
-    return arr.astype(np.int64)
-
-
 def _validate_probs(values, *, renormalize: bool, what: str) -> np.ndarray:
+    if np.iscomplexobj(values):  # a float cast would drop the imaginary part
+        raise ValueError(f"{what} contains complex entries")
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")
@@ -80,7 +68,7 @@ class JointPmf:
     """
 
     def __init__(self, table, *, renormalize: bool = False):
-        arr = np.asarray(table, dtype=float)
+        arr = np.asarray(table)
         if arr.ndim != 2:
             raise ValueError(f"joint table must be 2-D, got {arr.ndim}-D")
         self.shape = PairShape(arr.shape[0], arr.shape[1])
@@ -98,7 +86,7 @@ class ZPmf:
     """
 
     def __init__(self, probs, shape: PairShape, *, renormalize: bool = False):
-        arr = np.asarray(probs, dtype=float)
+        arr = np.asarray(probs)
         if arr.ndim != 1:
             raise ValueError(f"flattened p.m.f. must be 1-D, got {arr.ndim}-D")
         if arr.shape[0] != shape.size:
@@ -128,23 +116,12 @@ class EmpiricalPmf:
                 f"counts must be a length-{shape.size} vector for shape "
                 f"{shape.rows}x{shape.cols}"
             )
-        if arr.dtype == np.bool_:
-            raise ValueError("counts must be integers, got booleans")
-        if arr.dtype == object:
-            arr = _from_objects(arr, "count")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("counts must be finite")
-            if not np.all(arr == np.floor(arr)):
-                raise ValueError("counts must be integers")
-        if arr.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        self.counts = _frozen(_integers(arr, "counts", 0, _INT64_MAX))
         # The int64 sum wraps silently.  It can only wrap when some count
         # exceeds INT64_MAX / k, and then the exact sum decides.
-        if arr.max() > _INT64_MAX // arr.size and sum(arr.tolist()) > _INT64_MAX:
+        if self.counts.max() > _INT64_MAX // arr.size and sum(self.counts.tolist()) > _INT64_MAX:
             raise ValueError("total count exceeds the int64 range")
         self.shape = shape
-        self.counts = _frozen(arr.astype(np.int64))
         self.n = int(self.counts.sum())
         if self.n < 1:
             raise ValueError("empty sample: n = 0")
@@ -220,20 +197,7 @@ def estimate_pmf(sample, shape: PairShape) -> EmpiricalPmf:
     arr = np.asarray(sample)
     if arr.ndim != 1:
         raise ValueError(f"sample must be 1-D, got {arr.ndim}-D")
-    if arr.dtype == np.bool_:
-        raise ValueError("sample must contain integer outcome indices, got booleans")
-    if arr.dtype == object:
-        arr = _from_objects(arr, "outcome")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("sample must contain integer outcome indices")
-    # Range first: a float beyond int64 (or inf) would not survive the cast.
-    bad = (arr < 1) | (arr > shape.size)
-    if np.any(bad):
-        pos = int(np.argmax(bad))
-        value = arr[pos].item()  # int() is exact on an integral float; inf stays one
-        _integer(int(value) if np.isfinite(value) else value, f"sample[{pos}]", 1, shape.size)
-    counts = np.bincount(arr.astype(np.int64, copy=False) - 1, minlength=shape.size)
+    counts = np.bincount(_integers(arr, "sample", 1, shape.size) - 1, minlength=shape.size)
     return EmpiricalPmf(counts, shape)
 
 

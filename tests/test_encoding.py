@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pairinfo import (
+    EmpiricalPmf,
     PairShape,
     RngSpec,
     ZPmf,
@@ -26,7 +27,6 @@ from pairinfo import (
     variance_check,
 )
 from pairinfo.cli import parse_counts_csv, parse_sizes
-from pairinfo.pmf import _from_objects
 
 NOT_INTEGERS = [1.5, 2.0, math.nan, True, "2", None]
 
@@ -219,8 +219,11 @@ BOUNDED = {
         INT64_MAX,
     ),
     "object count": (
-        "count", lambda v: _from_objects(np.array([v], dtype=object), "count"),
-        -(2**63), INT64_MAX,
+        "counts[0]",
+        # As for the counts line, the second count keeps n >= 1 and the total in int64.
+        lambda v: EmpiricalPmf(np.array([v, int(v < 1)], dtype=object), PairShape(1, 2)),
+        0,
+        INT64_MAX,
     ),
     "sample outcome": ("sample[0]", lambda v: estimate_pmf([v], PairShape(2, 2)), 1, 4),
 }

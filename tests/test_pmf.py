@@ -1,6 +1,7 @@
 """Tests for the probability containers and empirical estimation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from pairinfo import (
     marginal_y,
     z_view,
 )
+from pairinfo.measures import entropy
 from pairinfo.pmf import z_vector
 from conftest import DEMO_TABLE
 
@@ -120,7 +122,7 @@ class TestEmpiricalPmf:
             EmpiricalPmf(np.array([2, 4, 1]), PairShape(2, 2))
 
     def test_rejects_negative_and_fractional(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^counts\[0\] must be at least 0, got -1$"):
             EmpiricalPmf(np.array([-1, 2, 1, 3]), PairShape(2, 2))
         with pytest.raises(ValueError, match="integer"):
             EmpiricalPmf(np.array([1.5, 2.0, 1.0, 3.0]), PairShape(2, 2))
@@ -129,14 +131,19 @@ class TestEmpiricalPmf:
         for bad in (np.inf, np.nan):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="finite"):
+                message = rf"^counts\[1\] must be an integer, got {bad}$"
+                with pytest.raises(ValueError, match=message):
                     EmpiricalPmf(np.array([1.0, bad, 1.0, 1.0]), PairShape(2, 2))
 
     def test_rejects_total_beyond_int64(self):
         # Four counts of 2**62 + 1 sum to 2**64 + 4, which int64 wraps to 4.
-        for counts in ([2**62 + 1] * 4, [2**62] * 4, [2**63, 1, 1, 1]):
+        for counts in ([2**62 + 1] * 4, [2**62] * 4):
             with pytest.raises(ValueError, match="int64"):
                 EmpiricalPmf(np.array(counts), PairShape(2, 2))
+        # numpy reads this one as float64, and 2.0**63 is one past the top count.
+        message = r"^counts\[0\] must be at most 9223372036854775807, got 9223372036854775808$"
+        with pytest.raises(ValueError, match=message):
+            EmpiricalPmf(np.array([2**63, 1, 1, 1]), PairShape(2, 2))
         # The largest representable total is still accepted exactly.
         top = [2**61, 2**61, 2**61, 2**61 - 1]
         assert EmpiricalPmf(np.array(top), PairShape(2, 2)).n == 2**63 - 1
@@ -147,20 +154,20 @@ class TestEmpiricalPmf:
         ids=["array", "list"],
     )
     def test_rejects_boolean_counts(self, counts):
-        with pytest.raises(ValueError, match="counts must be integers, got booleans"):
+        with pytest.raises(ValueError, match=r"^counts\[0\] must be an integer, got True$"):
             EmpiricalPmf(counts, PairShape(2, 2))
 
     def test_rejects_booleans_among_python_ints(self):
-        with pytest.raises(ValueError, match="count must be an integer, got True"):
+        with pytest.raises(ValueError, match=r"^counts\[0\] must be an integer, got True$"):
             EmpiricalPmf([True, 2**70], PairShape(1, 2))
 
     def test_rejects_python_ints_beyond_int64(self):
         # numpy keeps ints beyond the uint64 range as an object array.
-        for counts, bound in (([2**70, 1], f"at most {2**63 - 1}"),
-                              ([-(2**70), 1], f"at least {-(2**63)}")):
-            with pytest.raises(ValueError, match=f"^count must be {bound}, got {counts[0]}$"):
+        for counts, bound in (([2**70, 1], f"at most {2**63 - 1}"), ([-(2**70), 1], "at least 0")):
+            message = rf"^counts\[0\] must be {bound}, got {counts[0]}$"
+            with pytest.raises(ValueError, match=message):
                 EmpiricalPmf(counts, PairShape(1, 2))
-        with pytest.raises(ValueError, match="count must be an integer, got 1.5"):
+        with pytest.raises(ValueError, match=r"^counts\[0\] must be an integer, got 1.5$"):
             EmpiricalPmf([1.5, 2**70], PairShape(1, 2))
         emp = EmpiricalPmf(np.array([2, np.int32(3)], dtype=object), PairShape(1, 2))
         assert emp.counts.dtype == np.int64 and emp.n == 5
@@ -202,13 +209,13 @@ class TestEstimatePmf:
     def test_rejects_a_table_and_fractional_outcomes(self):
         with pytest.raises(ValueError, match="must be 1-D, got 2-D"):
             estimate_pmf(np.array([[1, 2], [3, 4]]), PairShape(2, 2))
-        with pytest.raises(ValueError, match="integer outcome indices"):
+        with pytest.raises(ValueError, match=r"^sample\[1\] must be an integer, got 2.5$"):
             estimate_pmf(np.array([1.0, 2.5]), PairShape(2, 2))
 
     def test_rejects_boolean_sample(self):
-        with pytest.raises(ValueError, match="booleans"):
+        with pytest.raises(ValueError, match=r"^sample\[0\] must be an integer, got True$"):
             estimate_pmf(np.array([True, True]), PairShape(2, 2))
-        with pytest.raises(ValueError, match="outcome must be an integer, got True"):
+        with pytest.raises(ValueError, match=r"^sample\[0\] must be an integer, got True$"):
             estimate_pmf([True, 2**70], PairShape(2, 2))
 
     def test_out_of_range_names_position(self):
@@ -218,10 +225,10 @@ class TestEstimatePmf:
             estimate_pmf([0, 1], PairShape(2, 2))
 
     def test_rejects_python_ints_beyond_int64(self):
-        message = "^outcome must be at most 9223372036854775807, got 1180591620717411303424$"
+        message = r"^sample\[0\] must be at most 4, got 1180591620717411303424$"
         with pytest.raises(ValueError, match=message):
             estimate_pmf([2**70, 1], PairShape(2, 2))
-        with pytest.raises(ValueError, match="outcome must be an integer, got 1.5"):
+        with pytest.raises(ValueError, match=r"^sample\[0\] must be an integer, got 1.5$"):
             estimate_pmf(np.array([1.5, 2], dtype=object), PairShape(2, 2))
         emp = estimate_pmf(np.array([1, 4, 4], dtype=object), PairShape(2, 2))
         np.testing.assert_array_equal(emp.counts, [1, 0, 0, 2])
@@ -249,6 +256,77 @@ class TestEstimatePmf:
             np.testing.assert_array_equal(
                 emp.counts, np.bincount(sample - 1, minlength=shape.size)
             )
+
+
+TOP = f"must be at most {2**63 - 1}"
+
+# Inputs on a 2x2 shape, each with the index of its first bad entry and the
+# rest of the message after ``counts[i]`` and after ``sample[i]``.  ``...``
+# for the sample repeats the counts' text, and None marks a fine count
+# (counts run from 0 to int64 max, outcomes from 1 to 4).
+INTEGER_ARRAYS = {
+    "bool array": (np.array([True, False, True, True]), 0, "must be an integer, got True", ...),
+    "bool list": ([True, False, True, True], 0, "must be an integer, got True", ...),
+    "str array": (np.array(["1", "2", "1", "1"]), 0, "must be an integer, got '1'", ...),
+    "complex array": (np.array([1, 2j, 1, 1]), 0, "must be an integer, got (1+0j)", ...),
+    "datetime64 array": (
+        np.array(["2020-01-01"] * 4, dtype="datetime64[ns]"), 0,
+        "must be an integer, got '2020-01-01T00:00:00.000000000'", ...,
+    ),
+    "nan": (np.array([1, np.nan, 1, 1]), 1, "must be an integer, got nan", ...),
+    "inf": (np.array([1, np.inf, 1, 1]), 1, "must be an integer, got inf", ...),
+    "-inf": (np.array([1, -np.inf, 1, 1]), 1, "must be an integer, got -inf", ...),
+    "1.5": (np.array([1, 1.5, 1, 1]), 1, "must be an integer, got 1.5", ...),
+    # float(2**63 - 1) rounds up to 2.0**63, so a float bound would let it pass.
+    "float 2**63": (np.array([1, 2.0**63, 1, 1]), 1, f"{TOP}, got {2**63}",
+                    f"must be at most 4, got {2**63}"),
+    "uint64 2**63": (np.array([1, 2**63, 1, 1], dtype=np.uint64), 1, f"{TOP}, got {2**63}",
+                     f"must be at most 4, got {2**63}"),
+    "object 2**70": ([1, 2**70, 1, 1], 1, f"{TOP}, got {2**70}",
+                     f"must be at most 4, got {2**70}"),
+    "object -2**70": ([1, -(2**70), 1, 1], 1, f"must be at least 0, got {-(2**70)}",
+                      f"must be at least 1, got {-(2**70)}"),
+    "-1": (np.array([1, -1, 1, 1]), 1, "must be at least 0, got -1", "must be at least 1, got -1"),
+    "0": (np.array([1, 0, 1, 1]), 1, None, "must be at least 1, got 0"),
+    "k+1": (np.array([1, 5, 1, 1]), 1, None, "must be at most 4, got 5"),
+}
+
+
+def _bad_array_cases():
+    """(id, build, input, full message or None) for every consumer of an
+    integer or probability array."""
+    for key, (values, i, counts, sample) in INTEGER_ARRAYS.items():
+        sample = counts if sample is ... else sample
+        counts = None if counts is None else f"counts[{i}] {counts}"
+        yield f"EmpiricalPmf-{key}", EmpiricalPmf, values, counts
+        yield f"estimate_pmf-{key}", estimate_pmf, values, f"sample[{i}] {sample}"
+    for key, probs in {"complex array": np.array([0.5 + 0.3j, 0.5]),
+                       "complex list": [0.5 + 0j, 0.5]}.items():
+        yield f"ZPmf-{key}", ZPmf, probs, "flattened p.m.f. contains complex entries"
+        yield (f"JointPmf-{key}", lambda v, shape: JointPmf([v]), probs,
+               "joint table contains complex entries")
+        yield (f"entropy-{key}", lambda v, shape: entropy(v), probs,
+               "probability vector contains complex entries")
+
+
+BAD_ARRAY_CASES = list(_bad_array_cases())
+
+
+@pytest.mark.parametrize("build, values, message", [case[1:] for case in BAD_ARRAY_CASES],
+                         ids=[case[0] for case in BAD_ARRAY_CASES])
+def test_bad_array_entries_raise_a_value_error_and_no_warning(build, values, message):
+    """Counts and samples refuse their first bad entry, whatever the dtype,
+    in ``encoding._integer``'s texts; a probability vector refuses complex
+    entries rather than dropping their imaginary parts.  Never a TypeError
+    or a warning."""
+    shape = PairShape(2, 2) if build in (EmpiricalPmf, estimate_pmf) else PairShape(1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            build(values, shape)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(values, shape)
 
 
 class TestMarginals:

@@ -79,6 +79,17 @@ def test_every_integer_range_is_stated_by_one_rule():
         assert not [name for name, source in sources.items() if text in source], text
 
 
+def test_every_integer_array_is_checked_by_one_rule():
+    """``encoding._integers`` refuses a bad count or sample entry through
+    ``_integer``, so neither ``pmf`` dtype ladder nor its texts are left."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in FILES}
+    for text in ["_from_objects", "_INT64_MIN", "got booleans", "integer outcome indices",
+                 "counts must be finite", "counts must be nonnegative"]:
+        assert not [name for name, source in sources.items() if text in source], text
+    assert [name for name, source in sources.items()
+            if "def _integers(" in source] == ["encoding.py"]
+
+
 def test_the_record_walk_is_entered_in_one_place():
     """Both readers hand the rest of a file to the record walk through
     ``_reader._walk_from``, the one place that logs where and why."""
