@@ -41,12 +41,14 @@ def _integers(values: np.ndarray, name: str, least: int, most: int) -> np.ndarra
         if kind == "f":
             fit &= values == np.floor(values)
         suspects = np.flatnonzero(~fit)
-        entries = [int(v) if v % 1 == 0 else v for v in values[suspects].tolist()]
+        entries = values[suspects].tolist()
     else:  # objects one by one; no bool, str, complex or datetime is an integer
         suspects = range(values.size)
         # A datetime goes as text: its tolist() may give bare ints.
         entries = (values.astype(str) if kind in "Mm" else values).tolist()
     for i, entry in zip(suspects, entries):
+        if isinstance(entry, (float, np.floating)) and entry.is_integer():
+            entry = int(entry)
         _integer(entry, f"{name}[{i}]", least, most)
     return values.astype(np.int64)
 

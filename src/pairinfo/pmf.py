@@ -32,9 +32,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _validate_probs(values, *, renormalize: bool, what: str) -> np.ndarray:
-    if np.iscomplexobj(values):  # a float cast would drop the imaginary part
-        raise ValueError(f"{what} contains complex entries")
-    arr = np.array(values, dtype=float)
+    try:  # a float cast drops an imaginary part and reads a date as a count
+        if np.asarray(values).dtype.kind in "cMm":
+            raise TypeError
+        arr = np.array(values, dtype=float)
+    except TypeError:  # raised above, or by an object entry that float() refuses
+        raise ValueError(f"{what} contains non-real entries") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite entries")
     if np.any(arr < 0):

@@ -127,6 +127,13 @@ class TestEmpiricalPmf:
         with pytest.raises(ValueError, match="integer"):
             EmpiricalPmf(np.array([1.5, 2.0, 1.0, 3.0]), PairShape(2, 2))
 
+    def test_reads_an_integral_float_as_its_int_in_any_array(self):
+        for two in (2.0, np.float32(2.0)):
+            for dtype in (float, object):
+                emp = EmpiricalPmf(np.array([1, two, 1, 1], dtype=dtype), PairShape(2, 2))
+                assert emp.n == 5
+                np.testing.assert_array_equal(emp.counts, [1, 2, 1, 1])
+
     def test_rejects_nonfinite_without_warning(self):
         for bad in (np.inf, np.nan):
             with warnings.catch_warnings():
@@ -286,9 +293,29 @@ INTEGER_ARRAYS = {
                      f"must be at most 4, got {2**70}"),
     "object -2**70": ([1, -(2**70), 1, 1], 1, f"must be at least 0, got {-(2**70)}",
                       f"must be at least 1, got {-(2**70)}"),
+    # An integral float counts as its int in an object array too.
+    "object 2.0": (np.array([1, 2.0, 1, 1], dtype=object), 1, None, None),
+    "object float32 2.0": (np.array([1, np.float32(2.0), 1, 1], dtype=object), 1, None, None),
+    "object 2.0 and 2**70": ([1, 2.0, 2**70, 1], 2, f"{TOP}, got {2**70}",
+                             f"must be at most 4, got {2**70}"),
+    "object float64 inf": (np.array([1, np.float64(np.inf), 1, 1], dtype=object), 1,
+                           f"must be an integer, got {np.float64(np.inf)!r}", ...),
     "-1": (np.array([1, -1, 1, 1]), 1, "must be at least 0, got -1", "must be at least 1, got -1"),
     "0": (np.array([1, 0, 1, 1]), 1, None, "must be at least 1, got 0"),
     "k+1": (np.array([1, 5, 1, 1]), 1, None, "must be at most 4, got 5"),
+}
+
+
+# Probability vectors of two entries that a float cast would misread: it
+# drops an imaginary part, reads a date or a duration as a count, and
+# raises a TypeError on an object it cannot convert.
+NON_REAL_PROBS = {
+    "complex array": np.array([0.5 + 0.3j, 0.5]),
+    "complex list": [0.5 + 0j, 0.5],
+    "object complex": np.array([0.5 + 0j, None], dtype=object),
+    "object dict": np.array([0.5, {}], dtype=object),
+    "datetime64 array": np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+    "timedelta64 array": np.array([1, 2], dtype="timedelta64[s]"),
 }
 
 
@@ -297,16 +324,14 @@ def _bad_array_cases():
     integer or probability array."""
     for key, (values, i, counts, sample) in INTEGER_ARRAYS.items():
         sample = counts if sample is ... else sample
-        counts = None if counts is None else f"counts[{i}] {counts}"
-        yield f"EmpiricalPmf-{key}", EmpiricalPmf, values, counts
-        yield f"estimate_pmf-{key}", estimate_pmf, values, f"sample[{i}] {sample}"
-    for key, probs in {"complex array": np.array([0.5 + 0.3j, 0.5]),
-                       "complex list": [0.5 + 0j, 0.5]}.items():
-        yield f"ZPmf-{key}", ZPmf, probs, "flattened p.m.f. contains complex entries"
+        yield f"EmpiricalPmf-{key}", EmpiricalPmf, values, counts and f"counts[{i}] {counts}"
+        yield f"estimate_pmf-{key}", estimate_pmf, values, sample and f"sample[{i}] {sample}"
+    for key, probs in NON_REAL_PROBS.items():
+        yield f"ZPmf-{key}", ZPmf, probs, "flattened p.m.f. contains non-real entries"
         yield (f"JointPmf-{key}", lambda v, shape: JointPmf([v]), probs,
-               "joint table contains complex entries")
+               "joint table contains non-real entries")
         yield (f"entropy-{key}", lambda v, shape: entropy(v), probs,
-               "probability vector contains complex entries")
+               "probability vector contains non-real entries")
 
 
 BAD_ARRAY_CASES = list(_bad_array_cases())
@@ -317,8 +342,8 @@ BAD_ARRAY_CASES = list(_bad_array_cases())
 def test_bad_array_entries_raise_a_value_error_and_no_warning(build, values, message):
     """Counts and samples refuse their first bad entry, whatever the dtype,
     in ``encoding._integer``'s texts; a probability vector refuses complex
-    entries rather than dropping their imaginary parts.  Never a TypeError
-    or a warning."""
+    numbers, dates, durations and objects that are not real numbers rather
+    than misreading them as floats.  Never a TypeError or a warning."""
     shape = PairShape(2, 2) if build in (EmpiricalPmf, estimate_pmf) else PairShape(1, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -90,6 +90,23 @@ def test_every_integer_array_is_checked_by_one_rule():
             if "def _integers(" in source] == ["encoding.py"]
 
 
+def test_every_probability_array_is_read_by_one_float_rule():
+    """``pmf._validate_probs`` alone refuses a probability vector that a
+    float cast would misread, with one text; the old complex-only text is
+    gone."""
+    sources = [path.read_text(encoding="utf-8") for path in FILES]
+    assert sum(source.count("contains non-real entries") for source in sources) == 1
+    assert not any("contains complex entries" in source for source in sources)
+
+
+def test_the_seed_hash_step_is_written_once():
+    """``montecarlo._hasher`` applies SeedSequence's hash step and carries
+    its running constant, so no table of step constants is built at import."""
+    for text in ["_hash_constants", "_POOL_STEPS", "_STATE_STEPS"]:
+        assert not [path.name for path in FILES if text in path.read_text(encoding="utf-8")], text
+    assert sum(path.read_text(encoding="utf-8").count("def _hasher(") for path in FILES) == 1
+
+
 def test_the_record_walk_is_entered_in_one_place():
     """Both readers hand the rest of a file to the record walk through
     ``_reader._walk_from``, the one place that logs where and why."""
